@@ -162,6 +162,10 @@ var (
 	ErrTooFew = core.ErrTooFew
 )
 
+// SafeRatio is poisoned/clean, the victim-over-clean ratio every report
+// uses: 1 when both are zero and +Inf when only clean is.
+func SafeRatio(poisoned, clean float64) float64 { return core.SafeRatio(poisoned, clean) }
+
 // OptimalSinglePoint finds the poisoning key maximizing the retrained MSE.
 // Only gap endpoints are candidates (Theorem 2), and a closed-form bound
 // prunes whole blocks of gaps before evaluation (DESIGN.md §11), so the

@@ -37,6 +37,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -54,7 +55,7 @@ var (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "figure to regenerate: 2|3|4|5|6|7|8|ext|ablation|online|serve|churn|cascade|throughput|defense|perf|all (all excludes perf)")
+		fig        = flag.String("fig", "all", "figure to regenerate: "+figureNames()+" (all excludes perf)")
 		scale      = flag.String("scale", "default", "experiment scale: quick|default|large")
 		seed       = flag.Uint64("seed", 42, "root RNG seed")
 		out        = flag.String("out", "", "directory for CSV output (optional)")
@@ -79,41 +80,9 @@ func main() {
 		}
 	}
 
-	runners := map[string]func(bench.Options, string) error{
-		"2":          runFig2,
-		"3":          runFig3,
-		"4":          runFig4,
-		"5":          runFig5,
-		"6":          runFig6,
-		"7":          runFig7,
-		"8":          runFig8,
-		"ext":        runExtensions,
-		"ablation":   runAblations,
-		"online":     runOnline,
-		"serve":      runServe,
-		"churn":      runChurn,
-		"cascade":    runCascade,
-		"throughput": runThroughput,
-		"defense":    runDefense,
-		"perf":       runPerf,
-	}
-	// perf is deliberately absent: wall-clock benchmarks do not belong in a
-	// figures-regeneration run (they are requested explicitly). throughput IS
-	// included: its CSV columns are deterministic (ops/sec goes to stdout
-	// only), so it regenerates like any figure.
-	order := []string{"2", "3", "4", "5", "6", "7", "8", "ext", "ablation", "online", "serve", "churn", "cascade", "throughput", "defense"}
-
-	var selected []string
-	if *fig == "all" {
-		selected = order
-	} else {
-		for _, f := range strings.Split(*fig, ",") {
-			f = strings.TrimSpace(f)
-			if _, ok := runners[f]; !ok {
-				fatalf("unknown figure %q (want 2..8, ext, ablation, online, all)", f)
-			}
-			selected = append(selected, f)
-		}
+	selected, err := selectFigures(*fig)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	stopCPU, err := startCPUProfile(*cpuprofile)
 	if err != nil {
@@ -131,6 +100,55 @@ func main() {
 	if err := writeMemProfile(*memprofile); err != nil {
 		fatalf("memprofile: %v", err)
 	}
+}
+
+// runners maps every -fig name to its runner.
+var runners = map[string]func(bench.Options, string) error{
+	"2":          runFig2,
+	"3":          runFig3,
+	"4":          runFig4,
+	"5":          runFig5,
+	"6":          runFig6,
+	"7":          runFig7,
+	"8":          runFig8,
+	"ext":        runExtensions,
+	"ablation":   runAblations,
+	"online":     runOnline,
+	"serve":      runServe,
+	"churn":      runChurn,
+	"cascade":    runCascade,
+	"throughput": runThroughput,
+	"defense":    runDefense,
+	"perf":       runPerf,
+}
+
+// figureOrder is what -fig all runs, in order. perf is deliberately absent:
+// wall-clock benchmarks do not belong in a figures-regeneration run (they
+// are requested explicitly). throughput IS included: its CSV columns are
+// deterministic (ops/sec goes to stdout only), so it regenerates like any
+// figure.
+var figureOrder = []string{"2", "3", "4", "5", "6", "7", "8", "ext", "ablation", "online", "serve", "churn", "cascade", "throughput", "defense"}
+
+// figureNames lists every accepted -fig value, "|"-separated.
+func figureNames() string {
+	return strings.Join(append(slices.Clone(figureOrder), "perf", "all"), "|")
+}
+
+// selectFigures resolves a -fig value (a comma-separated list, or "all")
+// to the runner names to run, in order.
+func selectFigures(fig string) ([]string, error) {
+	if fig == "all" {
+		return figureOrder, nil
+	}
+	var selected []string
+	for _, f := range strings.Split(fig, ",") {
+		f = strings.TrimSpace(f)
+		if _, ok := runners[f]; !ok {
+			return nil, fmt.Errorf("unknown figure %q (want %s)", f, figureNames())
+		}
+		selected = append(selected, f)
+	}
+	return selected, nil
 }
 
 // startCPUProfile begins a pprof CPU profile written to path; the returned
@@ -826,11 +844,12 @@ func runThroughput(opts bench.Options, out string) error {
 				fmt.Sprint(po.Epoch),
 				fmt.Sprint(cl.P50), fmt.Sprint(cl.P99), fmt.Sprint(cl.P999), fmt.Sprint(cl.MaxProbes),
 				fmt.Sprint(po.P50), fmt.Sprint(po.P99), fmt.Sprint(po.P999), fmt.Sprint(po.MaxProbes),
-				export.F(ratio(po.P99, cl.P99)), export.F(ratio(po.P999, cl.P999)),
+				export.F(core.SafeRatio(float64(po.P99), float64(cl.P99))),
+				export.F(core.SafeRatio(float64(po.P999), float64(cl.P999))),
 				fmt.Sprint(cl.ProbeTotal), fmt.Sprint(po.ProbeTotal),
 				export.F(cl.StaleFrac), export.F(po.StaleFrac), fmt.Sprint(po.Injected),
 				export.F(cl.ContentLoss), export.F(po.ContentLoss),
-				export.F(ratio64(po.ContentLoss, cl.ContentLoss)),
+				export.F(core.SafeRatio(po.ContentLoss, cl.ContentLoss)),
 				fmt.Sprintf("%016x", cl.HistChecksum), fmt.Sprintf("%016x", po.HistChecksum))
 		}
 	}
@@ -858,20 +877,6 @@ func runThroughput(opts bench.Options, out string) error {
 	}
 	fmt.Printf("max poisoned/clean p999 ratio: %.2f×\n", res.MaxP999Ratio())
 	return writeCSV(out, "throughput.csv", tb)
-}
-
-func ratio(poisoned, clean int64) float64 {
-	return ratio64(float64(poisoned), float64(clean))
-}
-
-func ratio64(poisoned, clean float64) float64 {
-	if clean == 0 {
-		if poisoned == 0 {
-			return 1
-		}
-		return poisoned
-	}
-	return poisoned / clean
 }
 
 // runPerf measures the fixed attack×n×workers cell list (bench.PerfSweep),

@@ -661,8 +661,8 @@ func cmdThroughput(args []string) error {
 		c := clean[i]
 		fmt.Printf("%5d %9d %9d %10d %11d %9d %10d %11.3f %8d %7.2f %7.2f\n",
 			p.Epoch, c.P50, c.P99, c.P999, p.P50, p.P99, p.P999,
-			p.StaleFrac, p.Injected, safeRatio(p.ContentLoss, c.ContentLoss),
-			safeRatio(float64(p.P999), float64(c.P999)))
+			p.StaleFrac, p.Injected, cdfpoison.SafeRatio(p.ContentLoss, c.ContentLoss),
+			cdfpoison.SafeRatio(float64(p.P999), float64(c.P999)))
 	}
 	fmt.Printf("wall-clock (machine-dependent): clean %.0f ops/s, poisoned %.0f ops/s, %d readers\n",
 		cleanOps, poisonedOps, plane.WithDefaults().Readers)
@@ -676,16 +676,6 @@ func evalPath(s cdfpoison.EvalStats) string {
 		return fmt.Sprintf("per-key loop, %d key evaluations (-no-batch-eval)", s.PerKeyKeys)
 	}
 	return fmt.Sprintf("sorted-batch kernel, %d key evaluations", s.BatchedKeys)
-}
-
-func safeRatio(poisoned, clean float64) float64 {
-	if clean == 0 {
-		if poisoned == 0 {
-			return 1
-		}
-		return poisoned
-	}
-	return poisoned / clean
 }
 
 func cmdEval(args []string) error {
@@ -785,6 +775,15 @@ func cmdDefend(args []string) error {
 	return nil
 }
 
+// damageOf reads the defense comparison's inputs off a scenario result: its
+// headline damage (the result's Damage) and its defense report.
+func damageOf[R interface{ Damage() float64 }](res R, rep cdfpoison.ScenarioDefenseReport, err error) (float64, cdfpoison.ScenarioDefenseReport, error) {
+	if err != nil {
+		return 0, cdfpoison.ScenarioDefenseReport{}, err
+	}
+	return res.Damage(), rep, nil
+}
+
 // cmdDefense mounts one attack scenario twice — undefended, then with the
 // requested defense plane armed — and prints the damage reduction the
 // defense bought against the honest-traffic overhead it charged. The same
@@ -858,16 +857,6 @@ func cmdDefense(args []string) error {
 		opsPerEpoch = ks.Len() / 10
 	}
 
-	ratio := func(victim, clean float64) float64 {
-		switch {
-		case clean != 0:
-			return victim / clean
-		case victim == 0:
-			return 1
-		default:
-			return math.Inf(1)
-		}
-	}
 	run := func(d cdfpoison.ScenarioDefense) (float64, cdfpoison.ScenarioDefenseReport, error) {
 		w := cdfpoison.WithParallelism(*workers)
 		switch *scenario {
@@ -876,46 +865,31 @@ func cmdDefense(args []string) error {
 				Budget: budget, HonestWrites: opsPerEpoch,
 				Domain: ks.Max() + 1, Seed: *seed, Defense: d,
 			}, w)
-			if err != nil {
-				return 0, cdfpoison.ScenarioDefenseReport{}, err
-			}
-			return res.RatioLoss, res.Defense, nil
+			return damageOf(res, res.Defense, err)
 		case "online":
 			res, err := cdfpoison.OnlinePoisonAttack(ks, cdfpoison.OnlineOptions{
 				Epochs: *epochs, EpochBudget: budget, Policy: policy, Defense: d,
 			}, w)
-			if err != nil {
-				return 0, cdfpoison.ScenarioDefenseReport{}, err
-			}
-			return res.FinalRatio(), res.Defense, nil
+			return damageOf(res, res.Defense, err)
 		case "serve":
 			res, err := cdfpoison.ServeAttack(ks, cdfpoison.ServeOptions{
 				Epochs: *epochs, OpsPerEpoch: opsPerEpoch, EpochBudget: budget,
 				Shards: *shards, Policy: policy, Workload: mix, Seed: *seed, Defense: d,
 			}, w)
-			if err != nil {
-				return 0, cdfpoison.ScenarioDefenseReport{}, err
-			}
-			return res.FinalRatio(), res.Defense, nil
+			return damageOf(res, res.Defense, err)
 		case "churn":
 			res, err := cdfpoison.ChurnAttack(ks, cdfpoison.ChurnOptions{
 				Epochs: *epochs, OpsPerEpoch: opsPerEpoch, EpochBudget: budget,
 				Shards: *shards, Policy: policy, Workload: mix, Seed: *seed,
 				Cost: cost, Defense: d,
 			}, w)
-			if err != nil {
-				return 0, cdfpoison.ScenarioDefenseReport{}, err
-			}
-			return ratio(float64(res.VictimChurn.RebuildTicks), float64(res.CleanChurn.RebuildTicks)), res.Defense, nil
+			return damageOf(res, res.Defense, err)
 		case "cascade":
 			res, err := cdfpoison.CascadeAttack(ks, cdfpoison.CascadeOptions{
 				Epochs: *epochs, OpsPerEpoch: opsPerEpoch, EpochBudget: budget,
 				Workload: mix, Seed: *seed, Defense: d,
 			}, w)
-			if err != nil {
-				return 0, cdfpoison.ScenarioDefenseReport{}, err
-			}
-			return res.FinalStructRatio(), res.Defense, nil
+			return damageOf(res, res.Defense, err)
 		default:
 			return 0, cdfpoison.ScenarioDefenseReport{}, fmt.Errorf("unknown scenario %q (want static | online | serve | churn | cascade)", *scenario)
 		}
@@ -934,7 +908,7 @@ func cmdDefense(args []string) error {
 	fmt.Printf("  undefended damage ratio  %8.3f\n", bare)
 	fmt.Printf("  defended damage ratio    %8.3f\n", defended)
 	fmt.Printf("  damage reduction         %8.3fx (on the excess over 1)\n",
-		ratio(math.Max(bare-1, 0), math.Max(defended-1, 0)))
+		cdfpoison.SafeRatio(math.Max(bare-1, 0), math.Max(defended-1, 0)))
 	fmt.Printf("  poison blocked           %8.1f%% (%d flagged, %d throttled of %d attempts)\n",
 		rep.PoisonBlockedFrac()*100, rep.FlaggedPoison, rep.ThrottledPoison, rep.PoisonAttempts)
 	fmt.Printf("  honest overhead          %8.1f%% (clean twin: %d flagged, %d throttled of %d attempts)\n",

@@ -112,6 +112,8 @@ func TestDocsCoverCitedSections(t *testing.T) {
 			// kernels, core.probeEval, api.go) and the eval perf cells
 			// cite §12.
 			"§12 Batch probe kernel invariants",
+			// The scenario engine (internal/core/scenario.go) cites §13.
+			"§13 Scenario engine",
 		},
 		// doc.go promises the paper-vs-measured record; api.go cites Ext. F;
 		// bench/perf.go and the CI gate cite the perf trajectory.

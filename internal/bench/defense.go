@@ -74,6 +74,15 @@ type defenseScenario struct {
 	run     func(spec core.DefenseSpec) (damage float64, rep core.DefenseReport, err error)
 }
 
+// damageOf reads a defense cell's inputs off a scenario result: its
+// headline damage (the result's Damage) and its defense report.
+func damageOf[R interface{ Damage() float64 }](res R, rep core.DefenseReport, err error) (float64, core.DefenseReport, error) {
+	if err != nil {
+		return 0, core.DefenseReport{}, err
+	}
+	return res.Damage(), rep, nil
+}
+
 // defenseDims sizes the five scenarios per scale. Budgets and op counts
 // track the corresponding single-scenario sweeps (serveShape, churnShape,
 // cascadeShape) at each scale; the static scenario keeps its honest writes
@@ -199,10 +208,7 @@ func DefenseSweep(opts Options) (DefenseSweepResult, error) {
 				Seed:         opts.Seed,
 				Defense:      spec,
 			})
-			if err != nil {
-				return 0, core.DefenseReport{}, err
-			}
-			return res.RatioLoss, res.Defense, nil
+			return damageOf(res, res.Defense, err)
 		},
 	})
 
@@ -235,10 +241,7 @@ func DefenseSweep(opts Options) (DefenseSweepResult, error) {
 				Arrivals:    arrivals,
 				Defense:     spec,
 			})
-			if err != nil {
-				return 0, core.DefenseReport{}, err
-			}
-			return res.FinalRatio(), res.Defense, nil
+			return damageOf(res, res.Defense, err)
 		},
 	})
 
@@ -269,10 +272,7 @@ func DefenseSweep(opts Options) (DefenseSweepResult, error) {
 				Seed:        opts.Seed,
 				Defense:     spec,
 			})
-			if err != nil {
-				return 0, core.DefenseReport{}, err
-			}
-			return res.FinalRatio(), res.Defense, nil
+			return damageOf(res, res.Defense, err)
 		},
 	})
 
@@ -304,11 +304,7 @@ func DefenseSweep(opts Options) (DefenseSweepResult, error) {
 				Cost:        index.CostModel{Fixed: 30},
 				Defense:     spec,
 			})
-			if err != nil {
-				return 0, core.DefenseReport{}, err
-			}
-			damage := core.SafeRatio(float64(res.VictimChurn.RebuildTicks), float64(res.CleanChurn.RebuildTicks))
-			return damage, res.Defense, nil
+			return damageOf(res, res.Defense, err)
 		},
 	})
 
@@ -340,10 +336,7 @@ func DefenseSweep(opts Options) (DefenseSweepResult, error) {
 				Seed:        opts.Seed,
 				Defense:     spec,
 			})
-			if err != nil {
-				return 0, core.DefenseReport{}, err
-			}
-			return res.FinalStructRatio(), res.Defense, nil
+			return damageOf(res, res.Defense, err)
 		},
 	})
 

@@ -57,22 +57,9 @@ type ChurnOptions struct {
 	Defense DefenseSpec
 }
 
-func (o ChurnOptions) domain(initial keys.Set) int64 {
-	if o.Domain > 0 {
-		return o.Domain
-	}
-	return 2 * (initial.Max() + 1)
-}
-
 func (o ChurnOptions) validate() error {
-	if o.Epochs < 1 {
-		return fmt.Errorf("core: churn scenario needs Epochs >= 1, got %d", o.Epochs)
-	}
-	if o.OpsPerEpoch < 0 {
-		return fmt.Errorf("core: negative ops per epoch %d", o.OpsPerEpoch)
-	}
-	if o.EpochBudget < 0 {
-		return fmt.Errorf("core: negative per-epoch budget %d", o.EpochBudget)
+	if err := validateEpochs("churn", o.Epochs, o.OpsPerEpoch, o.EpochBudget); err != nil {
+		return err
 	}
 	if o.Shards < 1 {
 		return fmt.Errorf("core: churn scenario needs Shards >= 1, got %d", o.Shards)
@@ -145,33 +132,24 @@ type ChurnResult struct {
 
 // FinalRatio returns the last epoch's aggregate loss ratio.
 func (r ChurnResult) FinalRatio() float64 {
-	if len(r.Epochs) == 0 {
-		return 1
-	}
-	return r.Epochs[len(r.Epochs)-1].RatioLoss
+	return final(r.Epochs, func(e ChurnEpochReport) float64 { return e.RatioLoss })
 }
 
 // MaxStaleFrac returns the worst per-epoch victim stale-read fraction —
 // the headline staleness number.
 func (r ChurnResult) MaxStaleFrac() float64 {
-	best := 0.0
-	for _, e := range r.Epochs {
-		if e.StaleFrac > best {
-			best = e.StaleFrac
-		}
-	}
-	return best
+	return peak(r.Epochs, 0, func(e ChurnEpochReport) float64 { return e.StaleFrac })
 }
 
 // MaxProbeRatio returns the worst per-epoch victim/clean probe ratio.
 func (r ChurnResult) MaxProbeRatio() float64 {
-	best := 0.0
-	for _, e := range r.Epochs {
-		if e.ProbeRatio > best {
-			best = e.ProbeRatio
-		}
-	}
-	return best
+	return peak(r.Epochs, 0, func(e ChurnEpochReport) float64 { return e.ProbeRatio })
+}
+
+// Damage is the scenario's headline: the victim/clean ratio of total
+// rebuild ticks — the work the attacker made the rebuild pipeline do.
+func (r ChurnResult) Damage() float64 {
+	return SafeRatio(float64(r.VictimChurn.RebuildTicks), float64(r.CleanChurn.RebuildTicks))
 }
 
 // churnTarget scores each shard for the churn attacker: expected rebuild
@@ -236,42 +214,25 @@ func churnTarget(v *shard.Index, policy dynamic.RetrainPolicy, budget int, cost 
 // which produce byte-identical results for any worker count
 // (TestChurnWorkerEquivalence at scenario level, TestChurnSweepWorker
 // Equivalence at sweep level, TestChurnWorkersFlagDeterminism at CLI
-// level). WithCancellation aborts between epochs and inside the oracle.
+// level). WithCancellation aborts between epochs, between honest ops, and
+// inside the oracle.
 func ChurnAttack(initial keys.Set, opts ChurnOptions, execOpts ...Option) (ChurnResult, error) {
 	if err := opts.validate(); err != nil {
 		return ChurnResult{}, err
 	}
-	vShard, err := shard.NewWithFit(initial, opts.Shards, opts.Policy, opts.Defense.fitFunc())
-	if err != nil {
-		return ChurnResult{}, err
-	}
-	cShard, err := shard.NewWithFit(initial, opts.Shards, opts.Policy, opts.Defense.fitFunc())
-	if err != nil {
-		return ChurnResult{}, err
-	}
-	gen, err := workload.NewGenerator(opts.Workload, initial, opts.domain(initial), opts.Seed)
-	if err != nil {
-		return ChurnResult{}, err
-	}
-	gen.SetSources(opts.Defense.Sources)
-	vBack, vGuard := opts.Defense.wrap(vShard)
-	cBack, cGuard := opts.Defense.wrap(cShard)
-	ex := newExec(execOpts)
-	victim := index.NewPipeline(vBack, opts.Cost).WithPool(ex.ctx, ex.pool)
-	clean := index.NewPipeline(cBack, opts.Cost).WithPool(ex.ctx, ex.pool)
-	opClock := 0
-	tick := func(n int) {
-		opClock += n
-		victim.Tick(n)
-		clean.Tick(n)
-	}
-
 	res := ChurnResult{Shards: opts.Shards, Epochs: make([]ChurnEpochReport, 0, opts.Epochs)}
-	res.Defense.Enabled = opts.Defense.Enabled()
-	vArm := opts.Defense.newArm(victim, vGuard, &res.Defense, false)
-	cArm := opts.Defense.newArm(clean, cGuard, &res.Defense, true)
-	atkSrc := opts.Defense.attackerSource()
-	var allPoison []int64
+	ex := newExec(execOpts)
+	fit := opts.Defense.fitFunc()
+	tw, err := newTwins(initial, func(ks keys.Set) (*shard.Index, error) {
+		return shard.NewWithFit(ks, opts.Shards, opts.Policy, fit)
+	}, opts.Defense, &res.Defense, &opts.Cost, ex)
+	if err != nil {
+		return ChurnResult{}, err
+	}
+	gen, err := honestStream(opts.Workload, initial, opts.Domain, opts.Seed, opts.Defense)
+	if err != nil {
+		return ChurnResult{}, err
+	}
 	for e := 0; e < opts.Epochs; e++ {
 		if err := ex.ctx.Err(); err != nil {
 			return ChurnResult{}, err
@@ -281,8 +242,8 @@ func ChurnAttack(initial keys.Set, opts ChurnOptions, execOpts ...Option) (Churn
 		// 1. Plan the epoch's churn: target shard and poison keys.
 		var poison []int64
 		if opts.EpochBudget > 0 {
-			rep.TargetShard = churnTarget(vShard, opts.Policy, opts.EpochBudget, opts.Cost)
-			g, err := GreedyMultiPoint(vShard.Shard(rep.TargetShard).Keys(), opts.EpochBudget, execOpts...)
+			rep.TargetShard = churnTarget(tw.victim, opts.Policy, opts.EpochBudget, opts.Cost)
+			g, err := GreedyMultiPoint(tw.victim.Shard(rep.TargetShard).Keys(), opts.EpochBudget, execOpts...)
 			if err != nil {
 				return ChurnResult{}, fmt.Errorf("core: churn epoch %d oracle: %w", e+1, err)
 			}
@@ -290,64 +251,44 @@ func ChurnAttack(initial keys.Set, opts ChurnOptions, execOpts ...Option) (Churn
 		}
 
 		// 2. Serve the epoch: honest ops with the poison drip interleaved.
-		inject := func() {
-			tick(1)
-			if ok, _ := vArm.insert(poison[0], atkSrc, opClock, true); ok {
-				allPoison = append(allPoison, poison[0])
-				rep.Injected++
-			}
-			poison = poison[1:]
-		}
-		for op := 0; op < opts.OpsPerEpoch; op++ {
-			for len(poison) > 0 && rep.Injected*opts.OpsPerEpoch <= op*opts.EpochBudget {
-				inject()
-			}
-			tick(1)
+		var probes probeAgg
+		rep.Injected, err = tw.drip(poison, opts.EpochBudget, opts.OpsPerEpoch, func() {
 			o := gen.Next()
-			if o.Read {
-				rep.Reads++
-				vr := victim.Lookup(o.Key)
-				cr := clean.Lookup(o.Key)
-				rep.PoisonedProbeTotal += int64(vr.Probes)
-				rep.CleanProbeTotal += int64(cr.Probes)
-				if victim.IsStale() {
-					rep.StaleReads++
-				}
-				if clean.IsStale() {
-					rep.CleanStaleReads++
-				}
-				continue
+			if !o.Read {
+				rep.Writes++
+				tw.write(o.Key, o.Source)
+				return
 			}
-			rep.Writes++
-			cArm.insert(o.Key, o.Source, opClock, false)
-			vArm.insert(o.Key, o.Source, opClock, false)
-		}
-		for len(poison) > 0 { // leftover drip (OpsPerEpoch == 0 or rounding)
-			inject()
+			rep.Reads++
+			tw.read(o.Key, &probes)
+			if tw.vPipe.IsStale() {
+				rep.StaleReads++
+			}
+			if tw.cPipe.IsStale() {
+				rep.CleanStaleReads++
+			}
+		})
+		if err != nil {
+			return ChurnResult{}, err
 		}
 
 		// 3. Maintenance.
 		if opts.Policy.Kind == dynamic.Manual {
-			victim.Retrain()
-			clean.Retrain()
+			tw.retrain()
 		}
 
 		// 4. Measurement.
-		rep.PoisonTotal = len(allPoison)
-		vStats, cStats := victim.Stats(), clean.Stats()
-		rep.Retrains = vStats.Retrains
-		rep.CleanRetrains = cStats.Retrains
-		rep.CleanLoss = cStats.ContentLoss
-		rep.PoisonedLoss = vStats.ContentLoss
-		rep.RatioLoss = SafeRatio(rep.PoisonedLoss, rep.CleanLoss)
+		rep.PoisonTotal = len(tw.accepted)
+		vStats, cStats := tw.v.Stats(), tw.c.Stats()
+		rep.Retrains, rep.CleanRetrains = vStats.Retrains, cStats.Retrains
+		rep.CleanLoss, rep.PoisonedLoss, rep.RatioLoss = lossCols(vStats, cStats)
+		rep.CleanProbeTotal, rep.PoisonedProbeTotal = probes.clean, probes.victim
+		rep.CleanProbes, rep.PoisonedProbes, rep.ProbeRatio = probeCols(probes, rep.Reads)
 		if rep.Reads > 0 {
 			rep.StaleFrac = float64(rep.StaleReads) / float64(rep.Reads)
 			rep.CleanStaleFrac = float64(rep.CleanStaleReads) / float64(rep.Reads)
-			rep.CleanProbes = float64(rep.CleanProbeTotal) / float64(rep.Reads)
-			rep.PoisonedProbes = float64(rep.PoisonedProbeTotal) / float64(rep.Reads)
-			rep.ProbeRatio = SafeRatio(rep.PoisonedProbes, rep.CleanProbes)
 		}
-		churn := victim.ChurnStats()
+		churn := tw.vPipe.ChurnStats()
 		rep.Publishes = churn.Publishes
 		rep.Coalesced = churn.Coalesced
 		rep.StaleTicks = churn.StaleTicks
@@ -357,12 +298,11 @@ func ChurnAttack(initial keys.Set, opts ChurnOptions, execOpts ...Option) (Churn
 		res.Epochs = append(res.Epochs, rep)
 	}
 	res.Retrains = res.Epochs[len(res.Epochs)-1].Retrains
-	res.VictimChurn = victim.ChurnStats()
-	res.CleanChurn = clean.ChurnStats()
-	ps, err := keys.NewStrict(allPoison)
+	res.VictimChurn = tw.vPipe.ChurnStats()
+	res.CleanChurn = tw.cPipe.ChurnStats()
+	res.Poison, err = tw.poison("churn")
 	if err != nil {
-		return ChurnResult{}, fmt.Errorf("core: churn poison keys collide: %w", err)
+		return ChurnResult{}, err
 	}
-	res.Poison = ps
 	return res, nil
 }

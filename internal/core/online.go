@@ -159,74 +159,22 @@ type OnlineResult struct {
 
 // FinalRatio returns the last epoch's loss ratio — the scenario's headline.
 func (r OnlineResult) FinalRatio() float64 {
-	if len(r.Epochs) == 0 {
-		return 1
-	}
-	return r.Epochs[len(r.Epochs)-1].RatioLoss
+	return final(r.Epochs, func(e EpochReport) float64 { return e.RatioLoss })
 }
 
 // MaxRatio returns the largest per-epoch loss ratio, which can exceed the
 // final ratio when a retrain mid-scenario absorbs buffered poison.
 func (r OnlineResult) MaxRatio() float64 {
-	best := 1.0
-	for _, e := range r.Epochs {
-		if e.RatioLoss > best {
-			best = e.RatioLoss
-		}
-	}
-	return best
+	return peak(r.Epochs, 1, func(e EpochReport) float64 { return e.RatioLoss })
 }
 
-// probeAgg is one chunk's exact probe totals for both indexes. Integer sums
-// are partition-invariant, so any chunking folds to the sequential totals.
-type probeAgg struct {
-	clean, victim int64
-}
+// Damage is the scenario's headline: the final loss ratio.
+func (r OnlineResult) Damage() float64 { return r.FinalRatio() }
 
-// onlineState carries the scenario's mutable state between epochs. Both
-// indexes are driven purely through index.Backend.
-type onlineState struct {
-	victim index.Backend // receives arrivals AND poison
-	clean  index.Backend // counterfactual: arrivals only, same policy
-	legit  []int64       // honest workload: initial keys + accepted arrivals
-	pe     *probeEval    // sorted-workload cache + eval scratch, reused across epochs
-	ex     exec
-}
-
-// measure evaluates both indexes at an epoch boundary: model-vs-content MSE
-// (Stats().ContentLoss, so model staleness is visible) and the mean probe
-// cost of the honest workload. The workload is sorted once per growth step
-// (st.legit is append-only, so an unchanged length skips the sort) and fed
-// to the sorted-batch kernel in chunks across the exec's worker pool; the
-// kernel is bit-identical to the per-key reference and integer sums fold in
-// index order, so the result is byte-identical for any worker count AND for
-// the per-key path (WithPerKeyEval).
-func (st *onlineState) measure(rep *EpochReport) error {
-	cleanStats := st.clean.Stats()
-	victimStats := st.victim.Stats()
-	rep.Retrains = victimStats.Retrains
-	rep.BufferLen = victimStats.Buffered
-	rep.CleanLoss = cleanStats.ContentLoss
-	rep.PoisonedLoss = victimStats.ContentLoss
-	rep.RatioLoss = SafeRatio(rep.PoisonedLoss, rep.CleanLoss)
-
-	st.pe.refresh(st.legit)
-	n := len(st.pe.sorted)
-	total, err := st.pe.measurePair(st.ex, endpointGrainFloor, st.pe.sorted, st.clean, st.victim)
-	if err != nil {
-		return err
-	}
-	if n > 0 {
-		rep.CleanProbes = float64(total.clean) / float64(n)
-		rep.PoisonedProbes = float64(total.victim) / float64(n)
-	}
-	return nil
-}
-
-// oracle computes this epoch's poison keys against the victim's visible
+// onlineOracle computes this epoch's poison keys against the victim's visible
 // content, in the order the attacker submits them.
-func (st *onlineState) oracle(opts OnlineOptions, execOpts []Option) ([]int64, error) {
-	visible := st.victim.Keys()
+func onlineOracle(victim index.Backend, opts OnlineOptions, execOpts []Option) ([]int64, error) {
+	visible := victim.Keys()
 	switch opts.Oracle {
 	case OracleRMI:
 		ro := opts.RMI
@@ -294,38 +242,21 @@ func OnlinePoisonAttack(initial keys.Set, opts OnlineOptions, execOpts ...Option
 			return dynamic.NewWithFit(ks, opts.Policy, opts.Defense.fitFunc())
 		}
 	}
-	victim, err := factory(initial)
-	if err != nil {
-		return OnlineResult{}, err
-	}
-	clean, err := factory(initial)
-	if err != nil {
-		return OnlineResult{}, err
-	}
-	vBack, vGuard := opts.Defense.wrap(victim)
-	cBack, cGuard := opts.Defense.wrap(clean)
-	st := &onlineState{
-		victim: vBack,
-		clean:  cBack,
-		legit:  append([]int64(nil), initial.Keys()...),
-		pe:     newProbeEval(),
-		ex:     newExec(execOpts),
-	}
-
 	epochs := opts.epochs()
 	res := OnlineResult{Epochs: make([]EpochReport, 0, epochs)}
-	res.Defense.Enabled = opts.Defense.Enabled()
-	vArm := opts.Defense.newArm(vBack, vGuard, &res.Defense, false)
-	cArm := opts.Defense.newArm(cBack, cGuard, &res.Defense, true)
-	atkSrc := opts.Defense.attackerSource()
+	ex := newExec(execOpts)
+	tw, err := newTwins(initial, factory, opts.Defense, &res.Defense, nil, ex)
+	if err != nil {
+		return OnlineResult{}, err
+	}
+	// The honest workload: initial keys + arrivals the clean twin accepted.
+	legit := append([]int64(nil), initial.Keys()...)
+	pe := newProbeEval()
 	// The online scenario has no workload generator, so honest sources
-	// rotate over a plain arrival counter; the op clock counts every write
-	// attempt on the victim's side of the stream.
-	honestSeen, opClock := 0, 0
-	var allPoison []int64
-	displaced := 0
+	// rotate over a plain arrival counter.
+	honestSeen, displaced := 0, 0
 	for e := 0; e < epochs; e++ {
-		if err := st.ex.ctx.Err(); err != nil {
+		if err := ex.ctx.Err(); err != nil {
 			return OnlineResult{}, err
 		}
 		// 1. Honest traffic. A key enters the workload iff the clean index
@@ -338,11 +269,8 @@ func OnlinePoisonAttack(initial keys.Set, opts OnlineOptions, execOpts ...Option
 					src = honestSeen % opts.Defense.Sources
 				}
 				honestSeen++
-				opClock++
-				cleanOK, _ := cArm.insert(k, src, opClock, false)
-				victimOK, _ := vArm.insert(k, src, opClock, false)
-				if cleanOK {
-					st.legit = append(st.legit, k)
+				if cleanOK, victimOK := tw.write(k, src); cleanOK {
+					legit = append(legit, k)
 					if !victimOK {
 						displaced++
 					}
@@ -350,46 +278,41 @@ func OnlinePoisonAttack(initial keys.Set, opts OnlineOptions, execOpts ...Option
 			}
 		}
 		// 2. The attack.
-		injected := 0
+		rep := EpochReport{Epoch: e + 1, Displaced: displaced}
 		if opts.EpochBudget > 0 {
-			poison, err := st.oracle(opts, execOpts)
+			poison, err := onlineOracle(tw.v, opts, execOpts)
 			if err != nil {
 				return OnlineResult{}, err
 			}
-			for _, k := range poison {
-				opClock++
-				if ok, _ := vArm.insert(k, atkSrc, opClock, true); ok {
-					allPoison = append(allPoison, k)
-					injected++
-				}
-			}
+			rep.Injected = tw.injectAll(poison)
 		}
 		// 3. Maintenance.
 		if opts.Policy.Kind == dynamic.Manual {
-			st.victim.Retrain()
-			st.clean.Retrain()
+			tw.retrain()
 		}
-		// 4. Measurement (measure fills Retrains/BufferLen from backend
-		// stats alongside the loss and probe columns).
-		rep := EpochReport{
-			Epoch:       e + 1,
-			Injected:    injected,
-			PoisonTotal: len(allPoison),
-			Displaced:   displaced,
-		}
-		if err := st.measure(&rep); err != nil {
+		// 4. Measurement: model-vs-content loss (so model staleness is
+		// visible) and the mean probe cost of the honest workload, sorted
+		// once per growth step (legit is append-only, so an unchanged
+		// length skips the sort).
+		rep.PoisonTotal = len(tw.accepted)
+		vStats, cStats := tw.v.Stats(), tw.c.Stats()
+		rep.Retrains, rep.BufferLen = vStats.Retrains, vStats.Buffered
+		rep.CleanLoss, rep.PoisonedLoss, rep.RatioLoss = lossCols(vStats, cStats)
+		pe.refresh(legit)
+		total, err := tw.measure(pe, endpointGrainFloor, pe.sorted)
+		if err != nil {
 			return OnlineResult{}, err
 		}
+		rep.CleanProbes, rep.PoisonedProbes, _ = probeCols(total, len(pe.sorted))
 		res.Epochs = append(res.Epochs, rep)
 	}
 	// epochs >= 1 is validated, so the last report is always present; its
 	// cumulative retrain count is the scenario total (no extra Stats scan).
 	res.Retrains = res.Epochs[len(res.Epochs)-1].Retrains
-	res.Eval = st.pe.stats
-	ps, err := keys.NewStrict(allPoison)
+	res.Eval = pe.stats
+	res.Poison, err = tw.poison("online")
 	if err != nil {
-		return OnlineResult{}, fmt.Errorf("core: online poison keys collide: %w", err)
+		return OnlineResult{}, err
 	}
-	res.Poison = ps
 	return res, nil
 }

@@ -48,6 +48,12 @@ func (s *EvalStats) add(keys int64, perKey bool) {
 	}
 }
 
+// probeAgg is one chunk's exact probe totals for both indexes. Integer sums
+// are partition-invariant, so any chunking folds to the sequential totals.
+type probeAgg struct {
+	clean, victim int64
+}
+
 // probeEval carries the eval scratch across epochs. The zero value is NOT
 // ready: newProbeEval binds the chunk closure once (a per-epoch method
 // value would allocate).

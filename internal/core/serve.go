@@ -53,22 +53,9 @@ type ServeOptions struct {
 	Defense DefenseSpec
 }
 
-func (o ServeOptions) domain(initial keys.Set) int64 {
-	if o.Domain > 0 {
-		return o.Domain
-	}
-	return 2 * (initial.Max() + 1)
-}
-
 func (o ServeOptions) validate() error {
-	if o.Epochs < 1 {
-		return fmt.Errorf("core: serve scenario needs Epochs >= 1, got %d", o.Epochs)
-	}
-	if o.OpsPerEpoch < 0 {
-		return fmt.Errorf("core: negative ops per epoch %d", o.OpsPerEpoch)
-	}
-	if o.EpochBudget < 0 {
-		return fmt.Errorf("core: negative per-epoch budget %d", o.EpochBudget)
+	if err := validateEpochs("serve", o.Epochs, o.OpsPerEpoch, o.EpochBudget); err != nil {
+		return err
 	}
 	if o.Shards < 1 {
 		return fmt.Errorf("core: serve scenario needs Shards >= 1, got %d", o.Shards)
@@ -131,13 +118,7 @@ type ServeEpochReport struct {
 // MaxShardRatio returns the epoch's worst per-shard loss ratio (floored at
 // 1) — the number a serving operator watching per-shard dashboards sees.
 func (e ServeEpochReport) MaxShardRatio() float64 {
-	best := 1.0
-	for _, s := range e.Shards {
-		if s.RatioLoss > best {
-			best = s.RatioLoss
-		}
-	}
-	return best
+	return peak(e.Shards, 1, func(s ServeShardReport) float64 { return s.RatioLoss })
 }
 
 // ServeResult reports the full serving scenario.
@@ -160,35 +141,23 @@ type ServeResult struct {
 
 // FinalRatio returns the last epoch's aggregate loss ratio.
 func (r ServeResult) FinalRatio() float64 {
-	if len(r.Epochs) == 0 {
-		return 1
-	}
-	return r.Epochs[len(r.Epochs)-1].RatioLoss
+	return final(r.Epochs, func(e ServeEpochReport) float64 { return e.RatioLoss })
 }
 
 // MaxRatio returns the largest per-epoch aggregate loss ratio.
 func (r ServeResult) MaxRatio() float64 {
-	best := 1.0
-	for _, e := range r.Epochs {
-		if e.RatioLoss > best {
-			best = e.RatioLoss
-		}
-	}
-	return best
+	return peak(r.Epochs, 1, func(e ServeEpochReport) float64 { return e.RatioLoss })
 }
 
 // MaxShardRatio returns the single worst per-shard loss ratio across the
 // whole scenario — sharding concentrates damage, so this exceeds the
 // aggregate ratio whenever the attacker focuses on a subset of ranges.
 func (r ServeResult) MaxShardRatio() float64 {
-	best := 1.0
-	for _, e := range r.Epochs {
-		if m := e.MaxShardRatio(); m > best {
-			best = m
-		}
-	}
-	return best
+	return peak(r.Epochs, 1, ServeEpochReport.MaxShardRatio)
 }
+
+// Damage is the scenario's headline: the final aggregate loss ratio.
+func (r ServeResult) Damage() float64 { return r.FinalRatio() }
 
 // ServeAttack mounts the attack-under-load scenario: an adversary with a
 // per-epoch key budget poisons a range-partitioned sharded serving index
@@ -232,37 +201,19 @@ func ServeAttack(initial keys.Set, opts ServeOptions, execOpts ...Option) (Serve
 	if err := opts.validate(); err != nil {
 		return ServeResult{}, err
 	}
-	vShard, err := shard.NewWithFit(initial, opts.Shards, opts.Policy, opts.Defense.fitFunc())
-	if err != nil {
-		return ServeResult{}, err
-	}
-	cShard, err := shard.NewWithFit(initial, opts.Shards, opts.Policy, opts.Defense.fitFunc())
-	if err != nil {
-		return ServeResult{}, err
-	}
-	gen, err := workload.NewGenerator(opts.Workload, initial, opts.domain(initial), opts.Seed)
-	if err != nil {
-		return ServeResult{}, err
-	}
-	gen.SetSources(opts.Defense.Sources)
-	vBack, vGuard := opts.Defense.wrap(vShard)
-	cBack, cGuard := opts.Defense.wrap(cShard)
-	ex := newExec(execOpts)
-	victim := index.NewPipeline(vBack, opts.RebuildCost).WithPool(ex.ctx, ex.pool)
-	clean := index.NewPipeline(cBack, opts.RebuildCost).WithPool(ex.ctx, ex.pool)
-	opClock := 0
-	tick := func(n int) {
-		opClock += n
-		victim.Tick(n)
-		clean.Tick(n)
-	}
-
 	res := ServeResult{Shards: opts.Shards, Epochs: make([]ServeEpochReport, 0, opts.Epochs)}
-	res.Defense.Enabled = opts.Defense.Enabled()
-	vArm := opts.Defense.newArm(victim, vGuard, &res.Defense, false)
-	cArm := opts.Defense.newArm(clean, cGuard, &res.Defense, true)
-	atkSrc := opts.Defense.attackerSource()
-	var allPoison []int64
+	ex := newExec(execOpts)
+	fit := opts.Defense.fitFunc()
+	tw, err := newTwins(initial, func(ks keys.Set) (*shard.Index, error) {
+		return shard.NewWithFit(ks, opts.Shards, opts.Policy, fit)
+	}, opts.Defense, &res.Defense, &opts.RebuildCost, ex)
+	if err != nil {
+		return ServeResult{}, err
+	}
+	gen, err := honestStream(opts.Workload, initial, opts.Domain, opts.Seed, opts.Defense)
+	if err != nil {
+		return ServeResult{}, err
+	}
 	displaced := 0
 	pe := newProbeEval()
 	var reads []int64 // epoch read-key scratch, reused across epochs
@@ -275,16 +226,14 @@ func ServeAttack(initial keys.Set, opts ServeOptions, execOpts ...Option) (Serve
 		// per operation.
 		reads = reads[:0]
 		for _, op := range gen.Ops(opts.OpsPerEpoch) {
-			tick(1)
 			if op.Read {
+				tw.step()
 				rep.Reads++
 				reads = append(reads, op.Key)
 				continue
 			}
 			rep.Writes++
-			cleanOK, _ := cArm.insert(op.Key, op.Source, opClock, false)
-			victimOK, _ := vArm.insert(op.Key, op.Source, opClock, false)
-			if cleanOK && !victimOK {
+			if cleanOK, victimOK := tw.write(op.Key, op.Source); cleanOK && !victimOK {
 				displaced++
 			}
 		}
@@ -292,46 +241,38 @@ func ServeAttack(initial keys.Set, opts ServeOptions, execOpts ...Option) (Serve
 		// (the write-plane truth — an insertion adversary sees what it can
 		// write around, not the lagging read plane).
 		if opts.EpochBudget > 0 {
-			g, err := GreedyMultiPoint(victim.Keys(), opts.EpochBudget, execOpts...)
+			g, err := GreedyMultiPoint(tw.v.Keys(), opts.EpochBudget, execOpts...)
 			if err != nil {
 				return ServeResult{}, fmt.Errorf("core: serve epoch %d oracle: %w", e+1, err)
 			}
-			for _, k := range g.Poison {
-				tick(1)
-				if ok, _ := vArm.insert(k, atkSrc, opClock, true); ok {
-					allPoison = append(allPoison, k)
-					rep.Injected++
-				}
-			}
+			rep.Injected = tw.injectAll(g.Poison)
 		}
 		// 3. Maintenance.
 		if opts.Policy.Kind == dynamic.Manual {
-			victim.Retrain()
-			clean.Retrain()
+			tw.retrain()
 		}
 		// 4. Measurement. The read keys are only consumed by the probe
 		// evaluation and integer probe sums are order-invariant, so sorting
 		// them in place (the batch kernel's precondition) changes no column.
-		rep.PoisonTotal = len(allPoison)
+		rep.PoisonTotal = len(tw.accepted)
 		rep.Displaced = displaced
-		rep.Stale = victim.IsStale()
+		rep.Stale = tw.vPipe.IsStale()
 		slices.Sort(reads)
-		if err := measureServe(&rep, vShard, cShard, victim, clean, reads, pe, ex); err != nil {
+		if err := measureServe(&rep, tw, reads, pe); err != nil {
 			return ServeResult{}, err
 		}
 		res.Epochs = append(res.Epochs, rep)
 	}
-	res.VictimChurn = victim.ChurnStats()
-	res.CleanChurn = clean.ChurnStats()
+	res.VictimChurn = tw.vPipe.ChurnStats()
+	res.CleanChurn = tw.cPipe.ChurnStats()
 	res.Eval = pe.stats
 	// Epochs >= 1 is validated, so the last report is always present; its
 	// cumulative retrain count is the scenario total (no extra Stats scan).
 	res.Retrains = res.Epochs[len(res.Epochs)-1].Retrains
-	ps, err := keys.NewStrict(allPoison)
+	res.Poison, err = tw.poison("serve")
 	if err != nil {
-		return ServeResult{}, fmt.Errorf("core: serve poison keys collide: %w", err)
+		return ServeResult{}, err
 	}
-	res.Poison = ps
 	return res, nil
 }
 
@@ -348,33 +289,29 @@ const serveProbeGrainFloor = 256
 // and the sums are integers folded in chunk order, so any worker count (and
 // the per-key WithPerKeyEval path) produces identical bytes, with no
 // mutable state shared across workers at all.
-func measureServe(rep *ServeEpochReport, victim, clean *shard.Index, vPipe, cPipe *index.Pipeline, reads []int64, pe *probeEval, ex exec) error {
+func measureServe(rep *ServeEpochReport, tw *twins[*shard.Index], reads []int64, pe *probeEval) error {
+	victim, clean := tw.victim, tw.clean
 	// Per-shard stats are the expensive part (ContentLoss is an O(shard)
 	// scan); collect them once per side and fold the aggregates here with
 	// the same key-weighted arithmetic shard.Index.Stats uses, instead of
 	// paying a second full pass through victim.Stats()/clean.Stats().
 	vShards, cShards := victim.ShardStats(), clean.ShardStats()
-	aggregate := func(shards []index.Stats) (keysTotal, buffered, retrains int, contentLoss float64) {
+	aggregate := func(shards []index.Stats) (agg index.Stats) {
 		var contentW float64
 		for _, st := range shards {
-			keysTotal += st.Keys
-			buffered += st.Buffered
-			retrains += st.Retrains
+			agg.Keys += st.Keys
+			agg.Buffered += st.Buffered
+			agg.Retrains += st.Retrains
 			contentW += st.ContentLoss * float64(st.Keys)
 		}
-		if keysTotal > 0 {
-			contentLoss = contentW / float64(keysTotal)
+		if agg.Keys > 0 {
+			agg.ContentLoss = contentW / float64(agg.Keys)
 		}
-		return keysTotal, buffered, retrains, contentLoss
+		return agg
 	}
-	_, vBuffered, vRetrains, vLoss := aggregate(vShards)
-	_, _, cRetrains, cLoss := aggregate(cShards)
-	rep.Retrains = vRetrains
-	rep.CleanRetrains = cRetrains
-	rep.BufferLen = vBuffered
-	rep.CleanLoss = cLoss
-	rep.PoisonedLoss = vLoss
-	rep.RatioLoss = SafeRatio(rep.PoisonedLoss, rep.CleanLoss)
+	vAgg, cAgg := aggregate(vShards), aggregate(cShards)
+	rep.Retrains, rep.CleanRetrains, rep.BufferLen = vAgg.Retrains, cAgg.Retrains, vAgg.Buffered
+	rep.CleanLoss, rep.PoisonedLoss, rep.RatioLoss = lossCols(vAgg, cAgg)
 	rep.Imbalance = victim.Imbalance()
 	rep.CleanImbalance = clean.Imbalance()
 
@@ -391,17 +328,11 @@ func measureServe(rep *ServeEpochReport, victim, clean *shard.Index, vPipe, cPip
 		}
 	}
 
-	n := len(reads)
-	vSnap, cSnap := vPipe.Snapshot(), cPipe.Snapshot()
-	total, err := pe.measurePair(ex, serveProbeGrainFloor, reads, cSnap, vSnap)
+	total, err := tw.measure(pe, serveProbeGrainFloor, reads)
 	if err != nil {
 		return err
 	}
-	rep.CleanProbeTotal = total.clean
-	rep.PoisonedProbeTotal = total.victim
-	if n > 0 {
-		rep.CleanProbes = float64(total.clean) / float64(n)
-		rep.PoisonedProbes = float64(total.victim) / float64(n)
-	}
+	rep.CleanProbeTotal, rep.PoisonedProbeTotal = total.clean, total.victim
+	rep.CleanProbes, rep.PoisonedProbes, _ = probeCols(total, len(reads))
 	return nil
 }

@@ -38,13 +38,6 @@ type StaticOptions struct {
 	Defense DefenseSpec
 }
 
-func (o StaticOptions) domain(initial keys.Set) int64 {
-	if o.Domain > 0 {
-		return o.Domain
-	}
-	return 2 * (initial.Max() + 1)
-}
-
 func (o StaticOptions) validate() error {
 	if o.Budget < 0 {
 		return fmt.Errorf("core: negative static budget %d", o.Budget)
@@ -77,6 +70,9 @@ type StaticResult struct {
 	Defense DefenseReport
 }
 
+// Damage is the scenario's headline: the final loss ratio.
+func (r StaticResult) Damage() float64 { return r.RatioLoss }
+
 // StaticAttack mounts the one-shot poisoning scenario: Algorithm 1's keys
 // against the INITIAL content, drip-fed evenly through HonestWrites honest
 // uniform writes into a dynamic index (victim), with a clean counterfactual
@@ -97,29 +93,19 @@ func StaticAttack(initial keys.Set, opts StaticOptions, execOpts ...Option) (Sta
 	if initial.Len() < 2 {
 		return StaticResult{}, ErrTooFew
 	}
-	fit := opts.Defense.fitFunc()
-	victim, err := dynamic.NewWithFit(initial, dynamic.ManualPolicy(), fit)
-	if err != nil {
-		return StaticResult{}, err
-	}
-	clean, err := dynamic.NewWithFit(initial, dynamic.ManualPolicy(), fit)
-	if err != nil {
-		return StaticResult{}, err
-	}
-	gen, err := workload.NewGenerator(workload.NewUniform(0), initial, opts.domain(initial), opts.Seed)
-	if err != nil {
-		return StaticResult{}, err
-	}
-	gen.SetSources(opts.Defense.Sources)
-	ex := newExec(execOpts)
-
 	var res StaticResult
-	res.Defense.Enabled = opts.Defense.Enabled()
-	vBack, vGuard := opts.Defense.wrap(victim)
-	cBack, cGuard := opts.Defense.wrap(clean)
-	vArm := opts.Defense.newArm(vBack, vGuard, &res.Defense, false)
-	cArm := opts.Defense.newArm(cBack, cGuard, &res.Defense, true)
-	atkSrc := opts.Defense.attackerSource()
+	ex := newExec(execOpts)
+	fit := opts.Defense.fitFunc()
+	tw, err := newTwins(initial, func(ks keys.Set) (*dynamic.Index, error) {
+		return dynamic.NewWithFit(ks, dynamic.ManualPolicy(), fit)
+	}, opts.Defense, &res.Defense, nil, ex)
+	if err != nil {
+		return StaticResult{}, err
+	}
+	gen, err := honestStream(workload.NewUniform(0), initial, opts.Domain, opts.Seed, opts.Defense)
+	if err != nil {
+		return StaticResult{}, err
+	}
 
 	var poison []int64
 	if opts.Budget > 0 {
@@ -132,63 +118,32 @@ func StaticAttack(initial keys.Set, opts StaticOptions, execOpts ...Option) (Sta
 
 	// Drip the budget evenly through the honest stream, as in the churn and
 	// cascade scenarios; leftovers land after the stream ends.
-	var accepted []int64
-	opClock := 0
-	inject := func() {
-		opClock++
-		if ok, _ := vArm.insert(poison[0], atkSrc, opClock, true); ok {
-			accepted = append(accepted, poison[0])
-			res.Injected++
-		}
-		poison = poison[1:]
-	}
-	for op := 0; op < opts.HonestWrites; op++ {
-		for len(poison) > 0 && res.Injected*opts.HonestWrites <= op*opts.Budget {
-			inject()
-		}
-		if err := ex.ctx.Err(); err != nil {
-			return StaticResult{}, err
-		}
-		opClock++
+	res.Injected, err = tw.drip(poison, opts.Budget, opts.HonestWrites, func() {
 		o := gen.Next()
-		cleanOK, _ := cArm.insert(o.Key, o.Source, opClock, false)
-		victimOK, _ := vArm.insert(o.Key, o.Source, opClock, false)
-		if cleanOK && !victimOK {
+		if cleanOK, victimOK := tw.write(o.Key, o.Source); cleanOK && !victimOK {
 			res.Displaced++
 		}
+	})
+	if err != nil {
+		return StaticResult{}, err
 	}
-	for len(poison) > 0 {
-		inject()
-	}
-
-	vBack.Retrain()
-	cBack.Retrain()
-
-	vStats, cStats := vBack.Stats(), cBack.Stats()
-	res.CleanLoss = cStats.ContentLoss
-	res.PoisonedLoss = vStats.ContentLoss
-	res.RatioLoss = SafeRatio(res.PoisonedLoss, res.CleanLoss)
+	tw.retrain()
+	res.CleanLoss, res.PoisonedLoss, res.RatioLoss = lossCols(tw.v.Stats(), tw.c.Stats())
 
 	// keys.Set stores its keys sorted and duplicate-free, so the initial
 	// workload already satisfies the batch kernel's precondition — no copy,
 	// no sort (DESIGN.md §12).
 	legit := initial.Keys()
-	n := len(legit)
 	pe := newProbeEval()
-	total, err := pe.measurePair(ex, endpointGrainFloor, legit, cBack, vBack)
+	total, err := tw.measure(pe, endpointGrainFloor, legit)
 	if err != nil {
 		return StaticResult{}, err
 	}
 	res.Eval = pe.stats
-	if n > 0 {
-		res.CleanProbes = float64(total.clean) / float64(n)
-		res.PoisonedProbes = float64(total.victim) / float64(n)
-		res.ProbeRatio = SafeRatio(res.PoisonedProbes, res.CleanProbes)
-	}
-	ps, err := keys.NewStrict(accepted)
+	res.CleanProbes, res.PoisonedProbes, res.ProbeRatio = probeCols(total, len(legit))
+	res.Poison, err = tw.poison("static")
 	if err != nil {
-		return StaticResult{}, fmt.Errorf("core: static poison keys collide: %w", err)
+		return StaticResult{}, err
 	}
-	res.Poison = ps
 	return res, nil
 }

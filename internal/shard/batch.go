@@ -9,13 +9,7 @@ package shard
 // added arithmetically, count × constant. (probes, notFound) are
 // bit-identical to the per-key reference.
 
-import (
-	"context"
-	"sort"
-
-	"cdfpoison/internal/engine"
-	"cdfpoison/internal/index"
-)
+import "cdfpoison/internal/index"
 
 var (
 	_ index.BatchReader = (*Index)(nil)
@@ -38,20 +32,6 @@ func routeProbes(m, s int) int {
 		}
 	}
 	return p
-}
-
-// splitSorted returns the per-shard partition boundaries of the sorted
-// batch: sorted[bounds[i]:bounds[i+1]] routes to shard i. A key equal to
-// cuts[i] belongs to shard i+1, exactly as route resolves it.
-func splitSorted(cuts []int64, sorted []int64) []int {
-	bounds := make([]int, len(cuts)+2)
-	c := 0
-	for i, cut := range cuts {
-		c = index.GallopLower(sorted, cut, c)
-		bounds[i+1] = c
-	}
-	bounds[len(cuts)+1] = len(sorted)
-	return bounds
 }
 
 // probeSumSortedShards is the shared sequential kernel: one router pass
@@ -89,42 +69,4 @@ func (s *shardSnapshot) ProbeSumSorted(sorted []int64) (probes int64, notFound i
 	return probeSumSortedShards(s.cuts, len(s.subs), sorted, func(i int, seg []int64) (int64, int) {
 		return index.ProbeSumSorted(s.subs[i], seg)
 	})
-}
-
-// ProbeSumSortedParallel is ProbeSumSorted with the per-shard sub-slices
-// fanned out across the pool, one task per shard. Shard evaluations are
-// pure reads and the integer partials fold in shard order, so any worker
-// count is byte-identical to the sequential kernel — the §2 determinism
-// contract.
-func (x *Index) ProbeSumSortedParallel(ctx context.Context, pool *engine.Pool, sorted []int64) (probes int64, notFound int, err error) {
-	type agg struct {
-		probes   int64
-		notFound int
-	}
-	bounds := splitSorted(x.cuts, sorted)
-	chunks, err := engine.Map(ctx, pool, len(x.shards), func(i int) (agg, error) {
-		var a agg
-		seg := sorted[bounds[i]:bounds[i+1]]
-		if len(seg) > 0 {
-			a.probes, a.notFound = x.shards[i].ProbeSumSorted(seg)
-			a.probes += int64(len(seg)) * int64(routeProbes(len(x.cuts), i))
-		}
-		return a, nil
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, a := range chunks {
-		probes += a.probes
-		notFound += a.notFound
-	}
-	return probes, notFound, nil
-}
-
-// sortInto copies q into buf (growing it as needed) and sorts the copy —
-// the shim that lets the deprecated unsorted entry reuse the sorted path.
-func sortInto(buf, q []int64) []int64 {
-	buf = append(buf[:0], q...)
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	return buf
 }

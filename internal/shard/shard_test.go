@@ -1,12 +1,10 @@
 package shard
 
 import (
-	"context"
 	"testing"
 
 	"cdfpoison/internal/dataset"
 	"cdfpoison/internal/dynamic"
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/xrand"
 )
@@ -161,27 +159,6 @@ func TestShardingIsolatesDamage(t *testing.T) {
 	}
 	if x.Imbalance() <= 1.2 {
 		t.Fatalf("imbalance %v did not register a %d-key flood", x.Imbalance(), accepted)
-	}
-}
-
-// TestProbeSumParallelEquivalence: the batched lookup fan-out is
-// byte-identical to the sequential sum for any worker count.
-func TestProbeSumParallelEquivalence(t *testing.T) {
-	ks := fixture(t, 900)
-	x, err := New(ks, 4, dynamic.ManualPolicy())
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := append(append([]int64(nil), ks.Keys()...), 1, 2, 3, 1<<50)
-	wantProbes, wantMiss := x.ProbeSum(queries)
-	for _, w := range []int{1, 2, 3, 8, 0} {
-		p, m, err := x.ProbeSumParallel(context.Background(), engine.New(w), queries)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if p != wantProbes || m != wantMiss {
-			t.Fatalf("workers=%d: (%d,%d) != sequential (%d,%d)", w, p, m, wantProbes, wantMiss)
-		}
 	}
 }
 
