@@ -58,6 +58,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	"cdfpoison"
@@ -277,39 +279,16 @@ func cmdAttack(args []string) error {
 }
 
 func cmdOnline(args []string) error {
-	fs := flag.NewFlagSet("online", flag.ExitOnError)
-	in := fs.String("in", "", "input key file (required)")
-	epochs := fs.Int("epochs", 8, "number of attack epochs (retrain cycles)")
-	percent := fs.Float64("percent", 2, "per-EPOCH poisoning percentage of the input keys")
-	policyStr := fs.String("policy", "manual", "retrain policy: manual | every:K | buffer:K")
-	arrivals := fs.Int("arrivals", 0, "honest inserts per epoch, drawn uniformly over the key range")
-	oracle := fs.String("oracle", "regression", "per-epoch attack oracle: regression | rmi")
-	models := fs.Int("models", 0, "RMI fanout N (rmi oracle)")
-	alpha := fs.Float64("alpha", 3, "per-model poisoning threshold multiplier (rmi oracle)")
-	seed := fs.Uint64("seed", 42, "rng seed for the arrival stream")
-	workers := fs.Int("workers", 0, "worker pool size: 0 = one per core, 1 = sequential; results are identical for any value")
-	noBatch := fs.Bool("no-batch-eval", false, "evaluate probe columns with the per-key lookup loop instead of the sorted-batch kernel; every column is identical either way")
-	out := fs.String("o", "", "optional output file for the injected poison keys")
-	fs.Parse(args)
-	if *in == "" {
-		return fmt.Errorf("online: -in is required")
+	c := newScenarioCmd("online", scenarioCmd{epochs: 8, percent: 2, policySpec: "manual", withWorkers: true, withOut: true})
+	arrivals := c.fs.Int("arrivals", 0, "honest inserts per epoch, drawn uniformly over the key range")
+	oracle := c.fs.String("oracle", "regression", "per-epoch attack oracle: regression | rmi")
+	models := c.fs.Int("models", 0, "RMI fanout N (rmi oracle)")
+	alpha := c.fs.Float64("alpha", 3, "per-model poisoning threshold multiplier (rmi oracle)")
+	if err := c.parse(args); err != nil {
+		return err
 	}
-	if *epochs < 1 {
-		return fmt.Errorf("online: -epochs must be >= 1, got %d", *epochs)
-	}
-	ks, err := readKeys(*in)
-	if err != nil {
-		return fmt.Errorf("online: %w", err)
-	}
-	policy, err := cdfpoison.ParseRetrainPolicy(*policyStr)
-	if err != nil {
-		return fmt.Errorf("online: %w", err)
-	}
-	opts := cdfpoison.OnlineOptions{
-		Epochs:      *epochs,
-		EpochBudget: int(float64(ks.Len()) * *percent / 100),
-		Policy:      policy,
-	}
+	ks := c.keys
+	opts := cdfpoison.OnlineOptions{Epochs: c.epochs, EpochBudget: c.budget, Policy: c.policy}
 	switch *oracle {
 	case "regression":
 	case "rmi":
@@ -326,25 +305,21 @@ func cmdOnline(args []string) error {
 		return fmt.Errorf("online: unknown oracle %q (want regression | rmi)", *oracle)
 	}
 	if *arrivals > 0 {
-		rng := cdfpoison.NewRNG(*seed)
+		rng := cdfpoison.NewRNG(c.seed)
 		span := ks.Max() - ks.Min() + 1
-		opts.Arrivals = make([][]int64, *epochs)
+		opts.Arrivals = make([][]int64, c.epochs)
 		for e := range opts.Arrivals {
 			for i := 0; i < *arrivals; i++ {
 				opts.Arrivals[e] = append(opts.Arrivals[e], ks.Min()+rng.Int63n(span))
 			}
 		}
 	}
-	execOpts := []cdfpoison.AttackOption{cdfpoison.WithParallelism(*workers)}
-	if *noBatch {
-		execOpts = append(execOpts, cdfpoison.WithPerKeyEval())
-	}
-	res, err := cdfpoison.OnlinePoisonAttack(ks, opts, execOpts...)
+	res, err := cdfpoison.OnlinePoisonAttack(ks, opts, cdfpoison.WithParallelism(c.workers))
 	if err != nil {
 		return fmt.Errorf("online: %w", err)
 	}
 	fmt.Printf("online attack: policy=%s, %d keys/epoch over %d epochs (%d honest arrivals/epoch)\n",
-		policy, opts.EpochBudget, *epochs, *arrivals)
+		c.policy, c.budget, c.epochs, *arrivals)
 	fmt.Printf("%5s %9s %7s %9s %7s %10s %12s %12s\n",
 		"epoch", "injected", "buffer", "retrains", "ratio", "displaced", "clean_prob", "pois_prob")
 	for _, e := range res.Epochs {
@@ -354,73 +329,30 @@ func cmdOnline(args []string) error {
 	}
 	fmt.Printf("final ratio %.2f× (max %.2f×), %d poison keys, %d retrains\n",
 		res.FinalRatio(), res.MaxRatio(), res.Poison.Len(), res.Retrains)
-	fmt.Printf("probe eval: %s\n", evalPath(res.Eval))
-	if *out != "" {
-		if err := writeKeys(*out, res.Poison); err != nil {
-			return fmt.Errorf("online: %w", err)
-		}
-		fmt.Printf("wrote %d poison keys to %s\n", res.Poison.Len(), *out)
-	}
-	return nil
+	return c.writePoison(res.Poison)
 }
 
 func cmdServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	in := fs.String("in", "", "input key file (required)")
-	epochs := fs.Int("epochs", 6, "number of serving epochs")
-	percent := fs.Float64("percent", 2, "per-EPOCH poisoning percentage of the input keys")
-	shards := fs.Int("shards", 4, "shard count (1 = unsharded)")
-	policyStr := fs.String("policy", "manual", "per-shard retrain policy: manual | every:K | buffer:K")
-	costStr := fs.String("cost", "zero", "rebuild cost model: zero | fixed:F | linear:F:P[:U] (zero = synchronous)")
-	workloadStr := fs.String("workload", "zipf:1.1:90", "honest mix: uniform[:R] | zipf[:T[:R]] | hotspot[:H[:R]]")
-	ops := fs.Int("ops", 0, "honest operations per epoch (default 10% of the input keys)")
-	seed := fs.Uint64("seed", 42, "rng seed for the operation stream")
-	workers := fs.Int("workers", 0, "worker pool size: 0 = one per core, 1 = sequential; results are identical for any value")
-	noBatch := fs.Bool("no-batch-eval", false, "evaluate probe columns with the per-key lookup loop instead of the sorted-batch kernel; every column is identical either way")
-	out := fs.String("o", "", "optional output file for the injected poison keys")
-	fs.Parse(args)
-	if *in == "" {
-		return fmt.Errorf("serve: -in is required")
+	c := newScenarioCmd("serve", scenarioCmd{epochs: 6, percent: 2, shards: 4, policySpec: "manual",
+		costSpec: "zero", workloadSpec: "zipf:1.1:90", withOps: true, withWorkers: true, withOut: true})
+	if err := c.parse(args); err != nil {
+		return err
 	}
-	ks, err := readKeys(*in)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	policy, err := cdfpoison.ParseRetrainPolicy(*policyStr)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	cost, err := cdfpoison.ParseRebuildCost(*costStr)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	mix, err := cdfpoison.ParseWorkload(*workloadStr)
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	opsPerEpoch := *ops
-	if opsPerEpoch == 0 {
-		opsPerEpoch = ks.Len() / 10
-	}
-	execOpts := []cdfpoison.AttackOption{cdfpoison.WithParallelism(*workers)}
-	if *noBatch {
-		execOpts = append(execOpts, cdfpoison.WithPerKeyEval())
-	}
-	res, err := cdfpoison.ServeAttack(ks, cdfpoison.ServeOptions{
-		Epochs:      *epochs,
-		OpsPerEpoch: opsPerEpoch,
-		EpochBudget: int(float64(ks.Len()) * *percent / 100),
-		Shards:      *shards,
-		Policy:      policy,
-		Workload:    mix,
-		Seed:        *seed,
-		RebuildCost: cost,
-	}, execOpts...)
+	res, err := cdfpoison.ServeAttack(c.keys, cdfpoison.ServeOptions{
+		Epochs:      c.epochs,
+		OpsPerEpoch: c.ops,
+		EpochBudget: c.budget,
+		Shards:      c.shards,
+		Policy:      c.policy,
+		Workload:    c.mix,
+		Seed:        c.seed,
+		RebuildCost: c.cost,
+	}, cdfpoison.WithParallelism(c.workers))
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	fmt.Printf("serve attack: %d shards, policy=%s, workload=%s, %d ops/epoch over %d epochs\n",
-		*shards, policy, mix, opsPerEpoch, *epochs)
+		c.shards, c.policy, c.mix, c.ops, c.epochs)
 	fmt.Printf("%5s %6s %7s %9s %7s %9s %7s %10s %12s %12s %10s\n",
 		"epoch", "reads", "writes", "injected", "buffer", "retrains", "ratio",
 		"imbalance", "clean_prob", "pois_prob", "max_shard")
@@ -431,68 +363,30 @@ func cmdServe(args []string) error {
 	}
 	fmt.Printf("final ratio %.2f× (max %.2f×, worst shard %.2f×), %d poison keys, %d retrains\n",
 		res.FinalRatio(), res.MaxRatio(), res.MaxShardRatio(), res.Poison.Len(), res.Retrains)
-	fmt.Printf("probe eval: %s\n", evalPath(res.Eval))
-	if *out != "" {
-		if err := writeKeys(*out, res.Poison); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-		fmt.Printf("wrote %d poison keys to %s\n", res.Poison.Len(), *out)
-	}
-	return nil
+	return c.writePoison(res.Poison)
 }
 
 func cmdChurn(args []string) error {
-	fs := flag.NewFlagSet("churn", flag.ExitOnError)
-	in := fs.String("in", "", "input key file (required)")
-	epochs := fs.Int("epochs", 6, "number of serving epochs")
-	percent := fs.Float64("percent", 2, "per-EPOCH poisoning percentage of the input keys")
-	shards := fs.Int("shards", 4, "shard count (1 = unsharded)")
-	policyStr := fs.String("policy", "buffer:64", "per-shard retrain policy: manual | every:K | buffer:K")
-	costStr := fs.String("cost", "linear:10:25:100", "rebuild cost model: zero | fixed:F | linear:F:P[:U]")
-	workloadStr := fs.String("workload", "zipf:1.1:90", "honest mix: uniform[:R] | zipf[:T[:R]] | hotspot[:H[:R]]")
-	ops := fs.Int("ops", 0, "honest operations per epoch (default 10% of the input keys)")
-	seed := fs.Uint64("seed", 42, "rng seed for the operation stream")
-	workers := fs.Int("workers", 0, "worker pool size: 0 = one per core, 1 = sequential; results are identical for any value")
-	out := fs.String("o", "", "optional output file for the injected poison keys")
-	fs.Parse(args)
-	if *in == "" {
-		return fmt.Errorf("churn: -in is required")
+	c := newScenarioCmd("churn", scenarioCmd{epochs: 6, percent: 2, shards: 4, policySpec: "buffer:64",
+		costSpec: "linear:10:25:100", workloadSpec: "zipf:1.1:90", withOps: true, withWorkers: true, withOut: true})
+	if err := c.parse(args); err != nil {
+		return err
 	}
-	ks, err := readKeys(*in)
-	if err != nil {
-		return fmt.Errorf("churn: %w", err)
-	}
-	policy, err := cdfpoison.ParseRetrainPolicy(*policyStr)
-	if err != nil {
-		return fmt.Errorf("churn: %w", err)
-	}
-	cost, err := cdfpoison.ParseRebuildCost(*costStr)
-	if err != nil {
-		return fmt.Errorf("churn: %w", err)
-	}
-	mix, err := cdfpoison.ParseWorkload(*workloadStr)
-	if err != nil {
-		return fmt.Errorf("churn: %w", err)
-	}
-	opsPerEpoch := *ops
-	if opsPerEpoch == 0 {
-		opsPerEpoch = ks.Len() / 10
-	}
-	res, err := cdfpoison.ChurnAttack(ks, cdfpoison.ChurnOptions{
-		Epochs:      *epochs,
-		OpsPerEpoch: opsPerEpoch,
-		EpochBudget: int(float64(ks.Len()) * *percent / 100),
-		Shards:      *shards,
-		Policy:      policy,
-		Workload:    mix,
-		Seed:        *seed,
-		Cost:        cost,
-	}, cdfpoison.WithParallelism(*workers))
+	res, err := cdfpoison.ChurnAttack(c.keys, cdfpoison.ChurnOptions{
+		Epochs:      c.epochs,
+		OpsPerEpoch: c.ops,
+		EpochBudget: c.budget,
+		Shards:      c.shards,
+		Policy:      c.policy,
+		Workload:    c.mix,
+		Seed:        c.seed,
+		Cost:        c.cost,
+	}, cdfpoison.WithParallelism(c.workers))
 	if err != nil {
 		return fmt.Errorf("churn: %w", err)
 	}
 	fmt.Printf("churn attack: %d shards, policy=%s, cost=%s, workload=%s, %d ops/epoch over %d epochs\n",
-		*shards, policy, cost, mix, opsPerEpoch, *epochs)
+		c.shards, c.policy, c.cost, c.mix, c.ops, c.epochs)
 	fmt.Printf("%5s %6s %9s %7s %9s %9s %10s %10s %8s %8s %7s %11s\n",
 		"epoch", "shard", "injected", "stale%", "publish", "coalesce", "lat_mean", "lat_max",
 		"rebuild", "stale_t", "ratio", "probe_ratio")
@@ -505,55 +399,29 @@ func cmdChurn(args []string) error {
 	fmt.Printf("max stale fraction %.2f, max publish latency %d ticks, final ratio %.2f×, %d poison keys, %d retrains\n",
 		res.MaxStaleFrac(), res.VictimChurn.MaxLatencyTicks, res.FinalRatio(),
 		res.Poison.Len(), res.Retrains)
-	if *out != "" {
-		if err := writeKeys(*out, res.Poison); err != nil {
-			return fmt.Errorf("churn: %w", err)
-		}
-		fmt.Printf("wrote %d poison keys to %s\n", res.Poison.Len(), *out)
-	}
-	return nil
+	return c.writePoison(res.Poison)
 }
 
 func cmdCascade(args []string) error {
-	fs := flag.NewFlagSet("cascade", flag.ExitOnError)
-	in := fs.String("in", "", "input key file (required)")
-	epochs := fs.Int("epochs", 6, "number of serving epochs")
-	percent := fs.Float64("percent", 2, "per-EPOCH poisoning percentage of the input keys")
-	leaf := fs.Int("leaf", 0, "bulk-load leaf size of the gapped-array index (0 = default)")
-	workloadStr := fs.String("workload", "zipf:1.1:85", "honest mix: uniform[:R] | zipf[:T[:R]] | hotspot[:H[:R]]")
-	ops := fs.Int("ops", 0, "honest operations per epoch (default 10% of the input keys)")
-	seed := fs.Uint64("seed", 42, "rng seed for the operation stream")
-	workers := fs.Int("workers", 0, "worker pool size: 0 = one per core, 1 = sequential; results are identical for any value")
-	out := fs.String("o", "", "optional output file for the injected poison keys")
-	fs.Parse(args)
-	if *in == "" {
-		return fmt.Errorf("cascade: -in is required")
+	c := newScenarioCmd("cascade", scenarioCmd{epochs: 6, percent: 2, workloadSpec: "zipf:1.1:85",
+		withOps: true, withWorkers: true, withOut: true})
+	leaf := c.fs.Int("leaf", 0, "bulk-load leaf size of the gapped-array index (0 = default)")
+	if err := c.parse(args); err != nil {
+		return err
 	}
-	ks, err := readKeys(*in)
-	if err != nil {
-		return fmt.Errorf("cascade: %w", err)
-	}
-	mix, err := cdfpoison.ParseWorkload(*workloadStr)
-	if err != nil {
-		return fmt.Errorf("cascade: %w", err)
-	}
-	opsPerEpoch := *ops
-	if opsPerEpoch == 0 {
-		opsPerEpoch = ks.Len() / 10
-	}
-	res, err := cdfpoison.CascadeAttack(ks, cdfpoison.CascadeOptions{
-		Epochs:      *epochs,
-		OpsPerEpoch: opsPerEpoch,
-		EpochBudget: int(float64(ks.Len()) * *percent / 100),
+	res, err := cdfpoison.CascadeAttack(c.keys, cdfpoison.CascadeOptions{
+		Epochs:      c.epochs,
+		OpsPerEpoch: c.ops,
+		EpochBudget: c.budget,
 		LeafTarget:  *leaf,
-		Workload:    mix,
-		Seed:        *seed,
-	}, cdfpoison.WithParallelism(*workers))
+		Workload:    c.mix,
+		Seed:        c.seed,
+	}, cdfpoison.WithParallelism(c.workers))
 	if err != nil {
 		return fmt.Errorf("cascade: %w", err)
 	}
 	fmt.Printf("cascade attack: leaf=%d, workload=%s, %d ops/epoch over %d epochs\n",
-		*leaf, mix, opsPerEpoch, *epochs)
+		*leaf, c.mix, c.ops, c.epochs)
 	fmt.Printf("%5s %6s %9s %9s %11s %7s %9s %6s %11s %12s %9s %12s %11s\n",
 		"epoch", "node", "density", "injected", "shift_wr", "splits", "cascades",
 		"nodes", "struct_cost", "clean_cost", "ratio", "damage", "probe_ratio")
@@ -567,65 +435,30 @@ func cmdCascade(args []string) error {
 		res.FinalStructRatio(), res.VictimStruct.Cost(), res.CleanStruct.Cost(),
 		res.VictimStruct.Splits, res.VictimStruct.Cascades,
 		res.CleanStruct.Splits, res.CleanStruct.Cascades, res.Poison.Len())
-	if *out != "" {
-		if err := writeKeys(*out, res.Poison); err != nil {
-			return fmt.Errorf("cascade: %w", err)
-		}
-		fmt.Printf("wrote %d poison keys to %s\n", res.Poison.Len(), *out)
-	}
-	return nil
+	return c.writePoison(res.Poison)
 }
 
 func cmdThroughput(args []string) error {
-	fs := flag.NewFlagSet("throughput", flag.ExitOnError)
-	in := fs.String("in", "", "input key file (required)")
-	epochs := fs.Int("epochs", 5, "number of serving epochs")
-	percent := fs.Float64("percent", 2, "per-EPOCH poisoning percentage of the input keys")
-	shards := fs.Int("shards", 4, "shard count (1 = unsharded)")
-	policyStr := fs.String("policy", "buffer:64", "per-shard retrain policy: manual | every:K | buffer:K")
-	costStr := fs.String("cost", "fixed:40", "rebuild cost model: zero | fixed:F | linear:F:P[:U]")
-	workloadStr := fs.String("workload", "zipf:1.1:90", "honest mix: uniform[:R] | zipf[:T[:R]] | hotspot[:H[:R]]")
-	ops := fs.Int("ops", 0, "honest operations per epoch (default 10% of the input keys)")
-	seed := fs.Uint64("seed", 42, "rng seed for the operation stream")
-	readers := fs.Int("readers", 0, "reader goroutines: 0 = one per core; percentiles are identical for any value")
-	batch := fs.Int("batch", 0, "reads per dispatch batch (0 = default); does not affect any metric")
-	fs.Parse(args)
-	if *in == "" {
-		return fmt.Errorf("throughput: -in is required")
+	c := newScenarioCmd("throughput", scenarioCmd{epochs: 5, percent: 2, shards: 4, policySpec: "buffer:64",
+		costSpec: "fixed:40", workloadSpec: "zipf:1.1:90", withOps: true})
+	readers := c.fs.Int("readers", 0, "reader goroutines: 0 = one per core; percentiles are identical for any value")
+	batch := c.fs.Int("batch", 0, "reads per dispatch batch (0 = default); does not affect any metric")
+	if err := c.parse(args); err != nil {
+		return err
 	}
-	ks, err := readKeys(*in)
-	if err != nil {
-		return fmt.Errorf("throughput: %w", err)
-	}
-	policy, err := cdfpoison.ParseRetrainPolicy(*policyStr)
-	if err != nil {
-		return fmt.Errorf("throughput: %w", err)
-	}
-	cost, err := cdfpoison.ParseRebuildCost(*costStr)
-	if err != nil {
-		return fmt.Errorf("throughput: %w", err)
-	}
-	mix, err := cdfpoison.ParseWorkload(*workloadStr)
-	if err != nil {
-		return fmt.Errorf("throughput: %w", err)
-	}
-	opsPerEpoch := *ops
-	if opsPerEpoch == 0 {
-		opsPerEpoch = ks.Len() / 10
-	}
-	domain := ks.Max() + ks.Max()/10 + 1
+	ks := c.keys
 	base := cdfpoison.ServingScenarioOptions{
-		Epochs:      *epochs,
-		OpsPerEpoch: opsPerEpoch,
-		Workload:    mix,
-		Domain:      domain,
-		Seed:        *seed,
-		Cost:        cost,
+		Epochs:      c.epochs,
+		OpsPerEpoch: c.ops,
+		Workload:    c.mix,
+		Domain:      ks.Max() + ks.Max()/10 + 1,
+		Seed:        c.seed,
+		Cost:        c.cost,
 		Oracle:      cdfpoison.GreedyPoisonOracle(),
 	}
 	plane := cdfpoison.ServingPlaneOptions{Readers: *readers, BatchSize: *batch}
 	run := func(budget int) ([]cdfpoison.ServingEpochMetrics, float64, error) {
-		b, err := cdfpoison.NewShardedIndex(ks, *shards, policy)
+		b, err := cdfpoison.NewShardedIndex(ks, c.shards, c.policy)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -647,35 +480,25 @@ func cmdThroughput(args []string) error {
 	if err != nil {
 		return fmt.Errorf("throughput: clean run: %w", err)
 	}
-	budget := int(float64(ks.Len()) * *percent / 100)
-	poisoned, poisonedOps, err := run(budget)
+	poisoned, poisonedOps, err := run(c.budget)
 	if err != nil {
 		return fmt.Errorf("throughput: poisoned run: %w", err)
 	}
 	fmt.Printf("throughput scenario: %d shards, policy=%s, cost=%s, workload=%s, %d ops/epoch over %d epochs, budget %d/epoch\n",
-		*shards, policy, cost, mix, opsPerEpoch, *epochs, budget)
+		c.shards, c.policy, c.cost, c.mix, c.ops, c.epochs, c.budget)
 	fmt.Printf("%5s %9s %9s %10s %11s %9s %10s %11s %8s %7s %7s\n",
 		"epoch", "clean_p50", "clean_p99", "clean_p999",
 		"poison_p50", "poison_p99", "poison_p999", "stale_frac", "injected", "ratio", "p999×")
 	for i, p := range poisoned {
-		c := clean[i]
+		cl := clean[i]
 		fmt.Printf("%5d %9d %9d %10d %11d %9d %10d %11.3f %8d %7.2f %7.2f\n",
-			p.Epoch, c.P50, c.P99, c.P999, p.P50, p.P99, p.P999,
-			p.StaleFrac, p.Injected, cdfpoison.SafeRatio(p.ContentLoss, c.ContentLoss),
-			cdfpoison.SafeRatio(float64(p.P999), float64(c.P999)))
+			p.Epoch, cl.P50, cl.P99, cl.P999, p.P50, p.P99, p.P999,
+			p.StaleFrac, p.Injected, cdfpoison.SafeRatio(p.ContentLoss, cl.ContentLoss),
+			cdfpoison.SafeRatio(float64(p.P999), float64(cl.P999)))
 	}
 	fmt.Printf("wall-clock (machine-dependent): clean %.0f ops/s, poisoned %.0f ops/s, %d readers\n",
 		cleanOps, poisonedOps, plane.WithDefaults().Readers)
 	return nil
-}
-
-// evalPath names the probe-evaluation path a scenario's EvalStats records
-// — sorted-batch kernel by default, per-key under -no-batch-eval.
-func evalPath(s cdfpoison.EvalStats) string {
-	if s.PerKeyKeys > 0 {
-		return fmt.Sprintf("per-key loop, %d key evaluations (-no-batch-eval)", s.PerKeyKeys)
-	}
-	return fmt.Sprintf("sorted-batch kernel, %d key evaluations", s.BatchedKeys)
 }
 
 func cmdEval(args []string) error {
@@ -784,38 +607,48 @@ func damageOf[R interface{ Damage() float64 }](res R, rep cdfpoison.ScenarioDefe
 	return res.Damage(), rep, nil
 }
 
+// parseRate parses the -rate limit BUDGET:WINDOW: two integers >= 1.
+func parseRate(s string) (budget, window int, err error) {
+	b, w, ok := strings.Cut(s, ":")
+	budget, errB := strconv.Atoi(b)
+	window, errW := strconv.Atoi(w)
+	if !ok || errB != nil || errW != nil || budget < 1 || window < 1 {
+		return 0, 0, fmt.Errorf("-rate wants BUDGET:WINDOW, two integers >= 1, got %q", s)
+	}
+	return budget, window, nil
+}
+
 // cmdDefense mounts one attack scenario twice — undefended, then with the
 // requested defense plane armed — and prints the damage reduction the
 // defense bought against the honest-traffic overhead it charged. The same
 // numbers, swept across scenarios and tiers, are `lisbench -fig defense`.
 func cmdDefense(args []string) error {
-	fs := flag.NewFlagSet("defense", flag.ExitOnError)
-	in := fs.String("in", "", "input key file (required)")
-	scenario := fs.String("scenario", "static", "attack scenario to defend: static | online | serve | churn | cascade")
-	chainStr := fs.String("chain", "density:8:3|dupmass:3:3", "detector chain spec: density:W:R | dupmass:W:C | gapout:R | lossspike:R, '|'-separated; none disables")
-	fitterStr := fs.String("fitter", "", "robust CDF fitter replacing OLS in retrains: ols | theilsen | trimmed:P (empty = keep OLS)")
-	rateStr := fs.String("rate", "", "per-source write rate limit BUDGET:WINDOW (empty = no limiter)")
-	sources := fs.Int("sources", 0, "spread honest writes round-robin over this many sources (the attacker gets its own)")
-	balanced := fs.Bool("balanced", false, "use the density-balancing split policy (cascade scenario)")
-	epochs := fs.Int("epochs", 4, "scenario epochs (online|serve|churn|cascade)")
-	percent := fs.Float64("percent", 5, "attacker budget as %% of the input keys (per epoch; one-shot for static)")
-	ops := fs.Int("ops", 0, "honest operations per epoch — honest writes total for static (default 10%% of the input keys)")
-	shards := fs.Int("shards", 4, "shard count (serve|churn)")
-	policyStr := fs.String("policy", "", "retrain policy: manual | every:K | buffer:K (default manual; buffer:K/8 for churn)")
-	costStr := fs.String("cost", "fixed:30", "rebuild cost model for churn: zero | fixed:F | linear:F:P[:U]")
-	workloadStr := fs.String("workload", "zipf:1.1:85", "honest mix: uniform[:R] | zipf[:T[:R]] | hotspot[:H[:R]]")
-	seed := fs.Uint64("seed", 42, "rng seed for the operation stream")
-	workers := fs.Int("workers", 0, "worker pool size: 0 = one per core, 1 = sequential; results are identical for any value")
-	fs.Parse(args)
-	if *in == "" {
-		return fmt.Errorf("defense: -in is required")
+	var scenario string
+	c := newScenarioCmd("defense", scenarioCmd{epochs: 4, percent: 5, shards: 4, costSpec: "fixed:30",
+		workloadSpec: "zipf:1.1:85", withPolicy: true, withOps: true, withWorkers: true})
+	c.fs.StringVar(&scenario, "scenario", "static", "attack scenario to defend: static | online | serve | churn | cascade "+
+		"(static spends -percent once over -ops honest writes in total; -policy defaults to buffer:K/8 per shard for churn, else manual)")
+	chainStr := c.fs.String("chain", "density:8:3|dupmass:3:3", "detector chain spec: density:W:R | dupmass:W:C | gapout:R | lossspike:R, '|'-separated; none disables")
+	fitterStr := c.fs.String("fitter", "", "robust CDF fitter replacing OLS in retrains: ols | theilsen | trimmed:P (empty = keep OLS)")
+	rateStr := c.fs.String("rate", "", "per-source write rate limit BUDGET:WINDOW (empty = no limiter)")
+	sources := c.fs.Int("sources", 0, "spread honest writes round-robin over this many sources (the attacker gets its own)")
+	balanced := c.fs.Bool("balanced", false, "use the density-balancing split policy (cascade scenario)")
+	if err := c.parse(args); err != nil {
+		return err
 	}
-	ks, err := readKeys(*in)
-	if err != nil {
-		return fmt.Errorf("defense: %w", err)
-	}
+	ks := c.keys
 
 	spec := cdfpoison.ScenarioDefense{Sources: *sources, BalancedSplit: *balanced}
+	var err error
+	if c.policySpec == "" {
+		auto := "manual"
+		if scenario == "churn" {
+			auto = fmt.Sprintf("buffer:%d", max(ks.Len()/8/max(c.shards, 1), 2))
+		}
+		if c.policy, err = cdfpoison.ParseRetrainPolicy(auto); err != nil {
+			return fmt.Errorf("defense: %w", err)
+		}
+	}
 	if *chainStr != "" {
 		if spec.Policies, err = cdfpoison.ParseGuardPolicyChain(*chainStr); err != nil {
 			return fmt.Errorf("defense: %w", err)
@@ -827,84 +660,59 @@ func cmdDefense(args []string) error {
 		}
 	}
 	if *rateStr != "" {
-		if n, err := fmt.Sscanf(*rateStr, "%d:%d", &spec.RateBudget, &spec.RateWindow); n != 2 || err != nil {
-			return fmt.Errorf("defense: -rate wants BUDGET:WINDOW, got %q", *rateStr)
+		if spec.RateBudget, spec.RateWindow, err = parseRate(*rateStr); err != nil {
+			return fmt.Errorf("defense: %w", err)
 		}
-	}
-
-	mix, err := cdfpoison.ParseWorkload(*workloadStr)
-	if err != nil {
-		return fmt.Errorf("defense: %w", err)
-	}
-	cost, err := cdfpoison.ParseRebuildCost(*costStr)
-	if err != nil {
-		return fmt.Errorf("defense: %w", err)
-	}
-	policySpec := *policyStr
-	if policySpec == "" {
-		policySpec = "manual"
-		if *scenario == "churn" {
-			policySpec = fmt.Sprintf("buffer:%d", max(ks.Len()/8/max(*shards, 1), 2))
-		}
-	}
-	policy, err := cdfpoison.ParseRetrainPolicy(policySpec)
-	if err != nil {
-		return fmt.Errorf("defense: %w", err)
-	}
-	budget := int(float64(ks.Len()) * *percent / 100)
-	opsPerEpoch := *ops
-	if opsPerEpoch == 0 {
-		opsPerEpoch = ks.Len() / 10
 	}
 
 	run := func(d cdfpoison.ScenarioDefense) (float64, cdfpoison.ScenarioDefenseReport, error) {
-		w := cdfpoison.WithParallelism(*workers)
-		switch *scenario {
+		w := cdfpoison.WithParallelism(c.workers)
+		switch scenario {
 		case "static":
 			res, err := cdfpoison.StaticScenarioAttack(ks, cdfpoison.StaticAttackOptions{
-				Budget: budget, HonestWrites: opsPerEpoch,
-				Domain: ks.Max() + 1, Seed: *seed, Defense: d,
+				Budget: c.budget, HonestWrites: c.ops,
+				Domain: ks.Max() + 1, Seed: c.seed, Defense: d,
 			}, w)
 			return damageOf(res, res.Defense, err)
 		case "online":
 			res, err := cdfpoison.OnlinePoisonAttack(ks, cdfpoison.OnlineOptions{
-				Epochs: *epochs, EpochBudget: budget, Policy: policy, Defense: d,
+				Epochs: c.epochs, EpochBudget: c.budget, Policy: c.policy, Defense: d,
 			}, w)
 			return damageOf(res, res.Defense, err)
 		case "serve":
 			res, err := cdfpoison.ServeAttack(ks, cdfpoison.ServeOptions{
-				Epochs: *epochs, OpsPerEpoch: opsPerEpoch, EpochBudget: budget,
-				Shards: *shards, Policy: policy, Workload: mix, Seed: *seed, Defense: d,
+				Epochs: c.epochs, OpsPerEpoch: c.ops, EpochBudget: c.budget,
+				Shards: c.shards, Policy: c.policy, Workload: c.mix, Seed: c.seed, Defense: d,
 			}, w)
 			return damageOf(res, res.Defense, err)
 		case "churn":
 			res, err := cdfpoison.ChurnAttack(ks, cdfpoison.ChurnOptions{
-				Epochs: *epochs, OpsPerEpoch: opsPerEpoch, EpochBudget: budget,
-				Shards: *shards, Policy: policy, Workload: mix, Seed: *seed,
-				Cost: cost, Defense: d,
+				Epochs: c.epochs, OpsPerEpoch: c.ops, EpochBudget: c.budget,
+				Shards: c.shards, Policy: c.policy, Workload: c.mix, Seed: c.seed,
+				Cost: c.cost, Defense: d,
 			}, w)
 			return damageOf(res, res.Defense, err)
 		case "cascade":
 			res, err := cdfpoison.CascadeAttack(ks, cdfpoison.CascadeOptions{
-				Epochs: *epochs, OpsPerEpoch: opsPerEpoch, EpochBudget: budget,
-				Workload: mix, Seed: *seed, Defense: d,
+				Epochs: c.epochs, OpsPerEpoch: c.ops, EpochBudget: c.budget,
+				Workload: c.mix, Seed: c.seed, Defense: d,
 			}, w)
 			return damageOf(res, res.Defense, err)
 		default:
-			return 0, cdfpoison.ScenarioDefenseReport{}, fmt.Errorf("unknown scenario %q (want static | online | serve | churn | cascade)", *scenario)
+			return 0, cdfpoison.ScenarioDefenseReport{}, fmt.Errorf("unknown scenario %q (want static | online | serve | churn | cascade)", scenario)
 		}
 	}
 
 	bare, _, err := run(cdfpoison.ScenarioDefense{})
 	if err != nil {
-		return fmt.Errorf("defense: undefended %s: %w", *scenario, err)
+		return fmt.Errorf("defense: undefended %s: %w", scenario, err)
 	}
 	defended, rep, err := run(spec)
 	if err != nil {
-		return fmt.Errorf("defense: defended %s: %w", *scenario, err)
+		return fmt.Errorf("defense: defended %s: %w", scenario, err)
 	}
 
-	fmt.Printf("%s scenario, attacker budget %d keys (%.3g%%)\n", *scenario, budget, *percent)
+	fmt.Printf("%s scenario, attacker budget %d keys (%.3g%%)\n", scenario, c.budget, c.percent)
 	fmt.Printf("  undefended damage ratio  %8.3f\n", bare)
 	fmt.Printf("  defended damage ratio    %8.3f\n", defended)
 	fmt.Printf("  damage reduction         %8.3fx (on the excess over 1)\n",

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"errors"
+	"flag"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -11,19 +14,26 @@ import (
 // printed.
 func captureStdout(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
+	return capture(t, &os.Stdout, fn)
+}
+
+// capture runs fn with *f (os.Stdout or os.Stderr) redirected and returns
+// what it printed there.
+func capture(t *testing.T, f **os.File, fn func() error) (string, error) {
+	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := os.Stdout
-	os.Stdout = w
+	orig := *f
+	*f = w
 	done := make(chan string)
 	go func() {
 		b, _ := io.ReadAll(r)
 		done <- string(b)
 	}()
 	runErr := fn()
-	os.Stdout = orig
+	*f = orig
 	w.Close()
 	out := <-done
 	r.Close()
@@ -156,11 +166,91 @@ func TestDefenseRejectsBadInput(t *testing.T) {
 		{"-scenario", "static"},
 		{"-in", keysFile, "-scenario", "replay"},
 		{"-in", keysFile, "-rate", "fast"},
+		{"-in", keysFile, "-rate", "4:20junk"},
+		{"-in", keysFile, "-rate", "0:20"},
 		{"-in", keysFile, "-chain", "density:x"},
 		{"-in", keysFile, "-fitter", "median"},
 	} {
 		if _, err := captureStdout(t, func() error { return cmdDefense(args) }); err == nil {
 			t.Errorf("defense %v accepted", args)
+		}
+	}
+}
+
+// scenarioCommands are the subcommands built on the shared scenarioCmd
+// loader, with the optional spec flags each one registers.
+var scenarioCommands = []struct {
+	name  string
+	run   func([]string) error
+	specs []string
+}{
+	{"online", cmdOnline, []string{"policy"}},
+	{"serve", cmdServe, []string{"policy", "cost", "workload"}},
+	{"churn", cmdChurn, []string{"policy", "cost", "workload"}},
+	{"cascade", cmdCascade, []string{"workload"}},
+	{"throughput", cmdThroughput, []string{"policy", "cost", "workload"}},
+	{"defense", cmdDefense, []string{"policy", "cost", "workload"}},
+}
+
+// helpText renders a scenario subcommand's -h output.
+func helpText(t *testing.T, run func([]string) error) string {
+	t.Helper()
+	scenarioFlagErrors = flag.ContinueOnError
+	defer func() { scenarioFlagErrors = flag.ExitOnError }()
+	out, err := capture(t, &os.Stderr, func() error { return run([]string{"-h"}) })
+	if !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("-h returned %v, want flag.ErrHelp", err)
+	}
+	return out
+}
+
+// TestScenarioHelpText: flag usage strings are printed verbatim, not as
+// format strings, so no help text may carry a doubled percent sign.
+func TestScenarioHelpText(t *testing.T) {
+	for _, sc := range scenarioCommands {
+		help := helpText(t, sc.run)
+		if !strings.Contains(help, "\n  -in string") {
+			t.Errorf("%s -h lacks -in:\n%s", sc.name, help)
+		}
+		if strings.Contains(help, "%%") {
+			t.Errorf("%s -h prints a literal %%%%:\n%s", sc.name, help)
+		}
+	}
+}
+
+// TestScenarioLoaderRejectsBadInput drives the shared loader through every
+// scenario subcommand: a missing -in, -epochs 0, a negative -percent, and
+// a bad spec for each of -policy, -cost and -workload the subcommand
+// registers all fail in the loader, before any scenario runs.
+func TestScenarioLoaderRejectsBadInput(t *testing.T) {
+	keysFile := genKeys(t, "100", "4000", "1")
+	bad := map[string]string{"policy": "hourly", "cost": "cubic:3", "workload": "pareto"}
+	for _, sc := range scenarioCommands {
+		help := helpText(t, sc.run)
+		cases := map[string][]string{
+			"-in is required":       {"-epochs", "2"},
+			"-epochs must be >= 1":  {"-in", keysFile, "-epochs", "0"},
+			"-percent must be >= 0": {"-in", keysFile, "-percent", "-5"},
+		}
+		for _, spec := range []string{"policy", "cost", "workload"} {
+			registered := strings.Contains(help, "\n  -"+spec+" string")
+			if registered != slices.Contains(sc.specs, spec) {
+				t.Errorf("%s registers -%s: %v, want %v", sc.name, spec, registered, !registered)
+			}
+			if registered {
+				cases["unknown "+spec] = []string{"-in", keysFile, "-" + spec, bad[spec]}
+			}
+		}
+		for want, args := range cases {
+			out, err := captureStdout(t, func() error { return sc.run(args) })
+			switch {
+			case err == nil:
+				t.Errorf("%s %v accepted", sc.name, args)
+			case !strings.HasPrefix(err.Error(), sc.name+": ") || !strings.Contains(err.Error(), want):
+				t.Errorf("%s %v: error %q, want %q from the loader", sc.name, args, err, want)
+			case out != "":
+				t.Errorf("%s %v printed before failing:\n%s", sc.name, args, out)
+			}
 		}
 	}
 }

@@ -181,8 +181,9 @@ func TestDocsCoverCitedSections(t *testing.T) {
 			"ParseGuardPolicyChain",
 			"-fig defense",
 			// The batch probe kernel (DESIGN.md §12) points readers at the
-			// complexity note and the A/B flag.
-			"-no-batch-eval",
+			// complexity note and its per-key reference test.
+			"sorted-batch kernel",
+			"TestPerKeyEvalEquivalence",
 		},
 	} {
 		data, err := os.ReadFile(file)

@@ -12,6 +12,8 @@
 package bench
 
 import (
+	"cmp"
+
 	"cdfpoison/internal/core"
 	"cdfpoison/internal/engine"
 	"cdfpoison/internal/xrand"
@@ -42,11 +44,6 @@ type Options struct {
 	// wall-clock knob. Key-set GENERATION always stays sequential so the
 	// RNG stream — and therefore every dataset — is worker-independent.
 	Workers int
-	// PerKeyEval disables the sorted-batch probe kernel (DESIGN.md §12) on
-	// the scenario eval paths and forces the classic per-key loop — the
-	// `lisbench -no-batch-eval` A/B switch. Every reported column is
-	// identical either way; only the EvalStats accounting moves.
-	PerKeyEval bool
 }
 
 func (o Options) fill() Options {
@@ -71,18 +68,19 @@ func (o Options) pool() *engine.Pool { return engine.New(o.Workers) }
 // run one attack, so parallelism belongs inside it). Cell fan-out paths
 // instead keep inner attacks sequential to avoid nested oversubscription.
 func (o Options) coreOpts() []core.Option {
-	opts := []core.Option{core.WithWorkers(o.Workers)}
-	return append(opts, o.evalOpts()...)
+	return []core.Option{core.WithWorkers(o.Workers)}
 }
 
-// evalOpts forwards only the eval-path ablation switch — for sweep cells
-// whose inner attacks stay sequential (cell fan-out owns the pool) but
-// should still honor -no-batch-eval.
-func (o Options) evalOpts() []core.Option {
-	if o.PerKeyEval {
-		return []core.Option{core.WithPerKeyEval()}
+// peak returns the largest f over xs, or the zero value when xs is empty
+// or no f is positive — the sweeps' headline numbers.
+func peak[X any, V cmp.Ordered](xs []X, f func(X) V) V {
+	var best V
+	for _, x := range xs {
+		if v := f(x); v > best {
+			best = v
+		}
 	}
-	return nil
+	return best
 }
 
 // CellBox couples an experiment cell's identity with the distribution of its

@@ -10,22 +10,13 @@ import (
 )
 
 // CascadeCell is one (leaf-target × per-epoch budget) cell of the
-// split-cascade sweep: the full per-epoch trajectory of core.CascadeAttack
-// plus its headline summaries.
+// split-cascade sweep: the cell's coordinates and its full
+// core.CascadeAttack result.
 type CascadeCell struct {
 	LeafTarget int
 	BudgetPct  float64 // per-EPOCH attacker budget as % of the initial keys
 	Budget     int
-	Epochs     []core.CascadeEpochReport
-	// Trajectory summaries: final victim/clean structural-cost ratio, worst
-	// probe ratio, total damage score, and the final structural accounting
-	// of both indexes.
-	FinalStructRatio        float64
-	MaxProbeRatio           float64
-	TotalDamage             float64
-	VictimCost, CleanCost   int64
-	Splits, CleanSplits     int
-	Cascades, CleanCascades int
+	core.CascadeResult
 }
 
 // CascadeSweepResult is the full split-cascade sweep ("-fig cascade" in
@@ -104,21 +95,7 @@ func CascadeSweep(opts Options) (CascadeSweepResult, error) {
 			return CascadeCell{}, fmt.Errorf("bench: cascade cell leaf=%d budget=%g%%: %w",
 				sp.leafTarget, sp.budgetPct, err)
 		}
-		return CascadeCell{
-			LeafTarget:       sp.leafTarget,
-			BudgetPct:        sp.budgetPct,
-			Budget:           budget,
-			Epochs:           res.Epochs,
-			FinalStructRatio: res.FinalStructRatio(),
-			MaxProbeRatio:    res.MaxProbeRatio(),
-			TotalDamage:      res.TotalDamage(),
-			VictimCost:       res.VictimStruct.Cost(),
-			CleanCost:        res.CleanStruct.Cost(),
-			Splits:           res.VictimStruct.Splits,
-			CleanSplits:      res.CleanStruct.Splits,
-			Cascades:         res.VictimStruct.Cascades,
-			CleanCascades:    res.CleanStruct.Cascades,
-		}, nil
+		return CascadeCell{LeafTarget: sp.leafTarget, BudgetPct: sp.budgetPct, Budget: budget, CascadeResult: res}, nil
 	})
 	if err != nil {
 		return CascadeSweepResult{}, err
@@ -136,20 +113,14 @@ func CascadeSweep(opts Options) (CascadeSweepResult, error) {
 // MaxStructRatio returns the worst final structural-cost ratio across
 // cells — the sweep's headline number.
 func (r CascadeSweepResult) MaxStructRatio() float64 {
-	best := 0.0
-	for _, c := range r.Cells {
-		if c.FinalStructRatio > best {
-			best = c.FinalStructRatio
-		}
-	}
-	return best
+	return peak(r.Cells, CascadeCell.FinalStructRatio)
 }
 
 // TotalCascades returns the attacker-forced cascades summed over cells.
 func (r CascadeSweepResult) TotalCascades() int {
 	total := 0
 	for _, c := range r.Cells {
-		total += c.Cascades - c.CleanCascades
+		total += c.VictimStruct.Cascades - c.CleanStruct.Cascades
 	}
 	return total
 }

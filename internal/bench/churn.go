@@ -12,24 +12,13 @@ import (
 )
 
 // ChurnCell is one (rebuild-cost model × per-epoch budget) cell of the
-// retrain-churn sweep: the full per-epoch trajectory of core.ChurnAttack
-// plus its headline summaries.
+// retrain-churn sweep: the cell's coordinates and its full core.ChurnAttack
+// result.
 type ChurnCell struct {
 	Cost      index.CostModel
 	BudgetPct float64 // per-EPOCH attacker budget as % of the initial keys
 	Budget    int
-	Epochs    []core.ChurnEpochReport
-	// Trajectory summaries: worst stale-read fraction and probe ratio, the
-	// final loss ratio, total publishes/coalesces, and the victim's worst
-	// publish latency in ticks.
-	MaxStaleFrac  float64
-	MaxProbeRatio float64
-	FinalRatio    float64
-	Publishes     int
-	Coalesced     int
-	MaxLatency    int64
-	StaleTicks    int64
-	CleanStale    int64 // counterfactual stale ticks (honest churn baseline)
+	core.ChurnResult
 }
 
 // ChurnSweepResult is the full retrain-churn sweep ("-fig churn" in
@@ -117,20 +106,7 @@ func ChurnSweep(opts Options) (ChurnSweepResult, error) {
 		if err != nil {
 			return ChurnCell{}, fmt.Errorf("bench: churn cell cost=%s budget=%g%%: %w", sp.cost, sp.budgetPct, err)
 		}
-		return ChurnCell{
-			Cost:          sp.cost,
-			BudgetPct:     sp.budgetPct,
-			Budget:        budget,
-			Epochs:        res.Epochs,
-			MaxStaleFrac:  res.MaxStaleFrac(),
-			MaxProbeRatio: res.MaxProbeRatio(),
-			FinalRatio:    res.FinalRatio(),
-			Publishes:     res.VictimChurn.Publishes,
-			Coalesced:     res.VictimChurn.Coalesced,
-			MaxLatency:    res.VictimChurn.MaxLatencyTicks,
-			StaleTicks:    res.VictimChurn.StaleTicks,
-			CleanStale:    res.CleanChurn.StaleTicks,
-		}, nil
+		return ChurnCell{Cost: sp.cost, BudgetPct: sp.budgetPct, Budget: budget, ChurnResult: res}, nil
 	})
 	if err != nil {
 		return ChurnSweepResult{}, err
@@ -150,22 +126,10 @@ func ChurnSweep(opts Options) (ChurnSweepResult, error) {
 // MaxStaleFrac returns the worst stale-read fraction across cells — the
 // sweep's headline number.
 func (r ChurnSweepResult) MaxStaleFrac() float64 {
-	best := 0.0
-	for _, c := range r.Cells {
-		if c.MaxStaleFrac > best {
-			best = c.MaxStaleFrac
-		}
-	}
-	return best
+	return peak(r.Cells, ChurnCell.MaxStaleFrac)
 }
 
 // MaxLatency returns the worst publish latency (ticks) across cells.
 func (r ChurnSweepResult) MaxLatency() int64 {
-	var best int64
-	for _, c := range r.Cells {
-		if c.MaxLatency > best {
-			best = c.MaxLatency
-		}
-	}
-	return best
+	return peak(r.Cells, func(c ChurnCell) int64 { return c.VictimChurn.MaxLatencyTicks })
 }

@@ -37,13 +37,9 @@ type DefenseCell struct {
 	// Reduction is excess(off)/excess(this cell): ≥ 2 means the defense
 	// halved the attacker's damage. 1 by definition for the off cell.
 	Reduction float64
-	// Overhead is the fraction of the clean twin's honest write attempts
-	// the defense flagged or throttled — the false-positive price.
-	Overhead float64
-	// PoisonBlocked is the fraction of the attacker's write attempts the
-	// defense stopped.
-	PoisonBlocked float64
-	// Report is the full defense-plane accounting.
+	// Report is the full defense-plane accounting. Its HonestBlockedFrac
+	// is the cell's overhead — the false-positive price — and its
+	// PoisonBlockedFrac the share of attacker writes the defense stopped.
 	Report core.DefenseReport
 	// Frontier marks cells on the scenario's Pareto frontier: no other cell
 	// of the same scenario has both no-worse overhead and strictly better
@@ -365,14 +361,12 @@ func DefenseSweep(opts Options) (DefenseSweepResult, error) {
 			excess = 0
 		}
 		return DefenseCell{
-			Scenario:      r.scenario.name,
-			Strength:      r.config.strength,
-			Spec:          SpecLabel(r.config.spec),
-			Damage:        damage,
-			Excess:        excess,
-			Overhead:      rep.HonestBlockedFrac(),
-			PoisonBlocked: rep.PoisonBlockedFrac(),
-			Report:        rep,
+			Scenario: r.scenario.name,
+			Strength: r.config.strength,
+			Spec:     SpecLabel(r.config.spec),
+			Damage:   damage,
+			Excess:   excess,
+			Report:   rep,
 		}, nil
 	})
 	if err != nil {
@@ -392,12 +386,14 @@ func DefenseSweep(opts Options) (DefenseSweepResult, error) {
 	}
 	for i := range cells {
 		dominated := false
+		oi := cells[i].Report.HonestBlockedFrac()
 		for j := range cells {
 			if i == j || cells[j].Scenario != cells[i].Scenario {
 				continue
 			}
-			betterOrEqual := cells[j].Reduction >= cells[i].Reduction && cells[j].Overhead <= cells[i].Overhead
-			strictlyBetter := cells[j].Reduction > cells[i].Reduction || cells[j].Overhead < cells[i].Overhead
+			oj := cells[j].Report.HonestBlockedFrac()
+			betterOrEqual := cells[j].Reduction >= cells[i].Reduction && oj <= oi
+			strictlyBetter := cells[j].Reduction > cells[i].Reduction || oj < oi
 			if betterOrEqual && strictlyBetter {
 				dominated = true
 				break
@@ -428,7 +424,7 @@ func (r DefenseSweepResult) Best(scenario string, maxOverhead float64) (DefenseC
 	var best DefenseCell
 	found := false
 	for _, c := range r.Cells {
-		if c.Scenario != scenario || c.Strength == "off" || c.Overhead > maxOverhead {
+		if c.Scenario != scenario || c.Strength == "off" || c.Report.HonestBlockedFrac() > maxOverhead {
 			continue
 		}
 		if !found || c.Reduction > best.Reduction {

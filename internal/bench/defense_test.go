@@ -32,8 +32,8 @@ func TestDefenseSweepShape(t *testing.T) {
 			if c.Reduction != 1 && !math.IsNaN(c.Reduction) {
 				t.Fatalf("%s/off reduction %v, want 1", c.Scenario, c.Reduction)
 			}
-			if c.Overhead != 0 {
-				t.Fatalf("%s/off overhead %v, want 0", c.Scenario, c.Overhead)
+			if c.Report.HonestBlockedFrac() != 0 {
+				t.Fatalf("%s/off overhead %v, want 0", c.Scenario, c.Report.HonestBlockedFrac())
 			}
 		} else if c.Spec == "none" || !c.Report.Enabled {
 			t.Fatalf("%s/%s armed cell reads disabled", c.Scenario, c.Strength)
@@ -208,7 +208,7 @@ func TestDefenseSweepAcceptance(t *testing.T) {
 		}
 		if best.Reduction < 2 {
 			t.Errorf("scenario %s: best reduction %v < 2x (spec %s, overhead %v)",
-				s, best.Reduction, best.Spec, best.Overhead)
+				s, best.Reduction, best.Spec, best.Report.HonestBlockedFrac())
 		}
 		if best.Report.FlaggedPoison+best.Report.ThrottledPoison == 0 {
 			t.Errorf("scenario %s: winning cell never touched the attacker (%+v)", s, best.Report)

@@ -157,11 +157,5 @@ func RegressionGrid(dist Distribution, opts Options) (RegressionGridResult, erro
 // MaxMedianRatio returns the largest per-cell median ratio in the sweep —
 // the headline number ("up to 100× for uniform, up to 8× for normal").
 func (r RegressionGridResult) MaxMedianRatio() float64 {
-	best := 0.0
-	for _, c := range r.Cells {
-		if c.Box.Median > best {
-			best = c.Box.Median
-		}
-	}
-	return best
+	return peak(r.Cells, func(c RegressionGridCell) float64 { return c.Box.Median })
 }

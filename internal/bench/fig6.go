@@ -161,29 +161,21 @@ func newRMICell(dist Distribution, n int, m int64, size int, pct, alpha float64,
 // MaxRMIRatio returns the largest RMI-level ratio across cells, optionally
 // filtered by distribution ("" = all) — the headline "up to 300×" number.
 func (r RMISyntheticResult) MaxRMIRatio(dist Distribution) float64 {
-	best := 0.0
-	for _, c := range r.Cells {
-		if dist != "" && c.Dist != dist {
-			continue
+	return peak(r.Cells, func(c RMICell) float64 {
+		if (dist != "" && c.Dist != dist) || math.IsInf(c.RMIRatio, 0) {
+			return 0
 		}
-		if !math.IsInf(c.RMIRatio, 0) && c.RMIRatio > best {
-			best = c.RMIRatio
-		}
-	}
-	return best
+		return c.RMIRatio
+	})
 }
 
 // MaxModelRatioOverall returns the largest finite per-model ratio across
 // cells — the headline "individual model error up to 3000×" number.
 func (r RMISyntheticResult) MaxModelRatioOverall(dist Distribution) float64 {
-	best := 0.0
-	for _, c := range r.Cells {
+	return peak(r.Cells, func(c RMICell) float64 {
 		if dist != "" && c.Dist != dist {
-			continue
+			return 0
 		}
-		if c.MaxModelRatio > best {
-			best = c.MaxModelRatio
-		}
-	}
-	return best
+		return c.MaxModelRatio
+	})
 }

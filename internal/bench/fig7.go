@@ -126,11 +126,5 @@ func RealData(ds RealDataset, opts Options) (RealDataResult, error) {
 // MaxRMIRatio returns the largest finite RMI ratio in the sweep (paper:
 // between 4× and 24× on real data).
 func (r RealDataResult) MaxRMIRatio() float64 {
-	best := 0.0
-	for _, c := range r.Cells {
-		if c.RMIRatio > best {
-			best = c.RMIRatio
-		}
-	}
-	return best
+	return peak(r.Cells, func(c RMICell) float64 { return c.RMIRatio })
 }

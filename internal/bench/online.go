@@ -10,19 +10,12 @@ import (
 )
 
 // OnlineCell is one (retrain policy × attacker budget) cell of the online
-// sweep: the full per-epoch trajectory of the dynamic-index scenario.
+// sweep: the cell's coordinates and its full dynamic-index scenario result.
 type OnlineCell struct {
 	Policy    dynamic.RetrainPolicy
 	BudgetPct float64 // per-EPOCH attacker budget as % of the initial keys
 	Budget    int     // the same, in keys
-	Epochs    []core.EpochReport
-	// FinalRatio and MaxRatio summarize the trajectory (they differ when a
-	// retrain mid-scenario absorbs buffered poison into the model).
-	FinalRatio float64
-	MaxRatio   float64
-	// Eval records which probe-eval path produced the cell's columns
-	// (sorted-batch kernel vs per-key loop, DESIGN.md §12).
-	Eval core.EvalStats
+	core.OnlineResult
 }
 
 // OnlineSweepResult is the full online-scenario sweep ("-fig online" in
@@ -35,9 +28,6 @@ type OnlineSweepResult struct {
 	EpochsPerCell int
 	ArrivalsPct   float64 // honest arrivals per epoch, % of initial keys
 	Cells         []OnlineCell
-	// Eval aggregates the cells' probe-eval accounting (worker-independent:
-	// each cell's counts are deterministic and the fold is cell-ordered).
-	Eval core.EvalStats
 }
 
 // onlineShape returns the sweep parameters per scale: initial keys, epochs,
@@ -112,27 +102,14 @@ func OnlineSweep(opts Options) (OnlineSweepResult, error) {
 			EpochBudget: budget,
 			Policy:      sp.policy,
 			Arrivals:    arrivals,
-		}, opts.evalOpts()...)
+		})
 		if err != nil {
 			return OnlineCell{}, fmt.Errorf("bench: online cell policy=%s budget=%v%%: %w", sp.policy, sp.pct, err)
 		}
-		return OnlineCell{
-			Policy:     sp.policy,
-			BudgetPct:  sp.pct,
-			Budget:     budget,
-			Epochs:     res.Epochs,
-			FinalRatio: res.FinalRatio(),
-			MaxRatio:   res.MaxRatio(),
-			Eval:       res.Eval,
-		}, nil
+		return OnlineCell{Policy: sp.policy, BudgetPct: sp.pct, Budget: budget, OnlineResult: res}, nil
 	})
 	if err != nil {
 		return OnlineSweepResult{}, err
-	}
-	var eval core.EvalStats
-	for _, c := range cells {
-		eval.BatchedKeys += c.Eval.BatchedKeys
-		eval.PerKeyKeys += c.Eval.PerKeyKeys
 	}
 	return OnlineSweepResult{
 		Keys:          n,
@@ -140,18 +117,11 @@ func OnlineSweep(opts Options) (OnlineSweepResult, error) {
 		EpochsPerCell: epochs,
 		ArrivalsPct:   arrivalsPct,
 		Cells:         cells,
-		Eval:          eval,
 	}, nil
 }
 
 // MaxFinalRatio returns the largest end-of-scenario loss ratio across cells
 // — the sweep's headline number.
 func (r OnlineSweepResult) MaxFinalRatio() float64 {
-	best := 0.0
-	for _, c := range r.Cells {
-		if c.FinalRatio > best {
-			best = c.FinalRatio
-		}
-	}
-	return best
+	return peak(r.Cells, OnlineCell.FinalRatio)
 }

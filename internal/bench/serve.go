@@ -11,24 +11,13 @@ import (
 )
 
 // ServeCell is one (shard count × workload mix) cell of the serving sweep:
-// the full per-epoch trajectory of the attack-under-load scenario.
+// the cell's coordinates and its full attack-under-load scenario result
+// (the shard count is the result's Shards).
 type ServeCell struct {
-	Shards    int
 	Workload  workload.Spec
 	BudgetPct float64 // per-EPOCH attacker budget as % of the initial keys
 	Budget    int
-	Epochs    []core.ServeEpochReport
-	// Trajectory summaries: aggregate final/max ratio, the single worst
-	// per-shard ratio (sharding concentrates damage), and the victim's
-	// final shard imbalance.
-	FinalRatio     float64
-	MaxRatio       float64
-	MaxShardRatio  float64
-	FinalImbalance float64
-	// Eval records which probe-eval path produced the cell's columns
-	// (sorted-batch kernel vs per-key loop, DESIGN.md §12).
-	Eval     core.EvalStats
-	Retrains int
+	core.ServeResult
 }
 
 // ServeSweepResult is the full serving sweep ("-fig serve" in lisbench):
@@ -41,9 +30,6 @@ type ServeSweepResult struct {
 	EpochsPerCell int
 	OpsPerEpoch   int
 	Cells         []ServeCell
-	// Eval aggregates the cells' probe-eval accounting (worker-independent:
-	// each cell's counts are deterministic and the fold is cell-ordered).
-	Eval core.EvalStats
 }
 
 // serveShape returns the sweep parameters per scale.
@@ -111,32 +97,14 @@ func ServeSweep(opts Options) (ServeSweepResult, error) {
 			// All cells share the same stream seed: a cell differs from its
 			// neighbours only in shard count or mix, never in luck.
 			Seed: opts.Seed,
-		}, opts.evalOpts()...)
+		})
 		if err != nil {
 			return ServeCell{}, fmt.Errorf("bench: serve cell shards=%d workload=%s: %w", sp.shards, sp.mix, err)
 		}
-		last := res.Epochs[len(res.Epochs)-1]
-		return ServeCell{
-			Shards:         sp.shards,
-			Workload:       sp.mix,
-			BudgetPct:      budgetPct,
-			Budget:         budget,
-			Epochs:         res.Epochs,
-			FinalRatio:     res.FinalRatio(),
-			MaxRatio:       res.MaxRatio(),
-			MaxShardRatio:  res.MaxShardRatio(),
-			FinalImbalance: last.Imbalance,
-			Retrains:       res.Retrains,
-			Eval:           res.Eval,
-		}, nil
+		return ServeCell{Workload: sp.mix, BudgetPct: budgetPct, Budget: budget, ServeResult: res}, nil
 	})
 	if err != nil {
 		return ServeSweepResult{}, err
-	}
-	var eval core.EvalStats
-	for _, c := range cells {
-		eval.BatchedKeys += c.Eval.BatchedKeys
-		eval.PerKeyKeys += c.Eval.PerKeyKeys
 	}
 	return ServeSweepResult{
 		Keys:          n,
@@ -144,18 +112,11 @@ func ServeSweep(opts Options) (ServeSweepResult, error) {
 		EpochsPerCell: epochs,
 		OpsPerEpoch:   opsPerEpoch,
 		Cells:         cells,
-		Eval:          eval,
 	}, nil
 }
 
 // MaxFinalRatio returns the largest end-of-scenario aggregate ratio across
 // cells — the sweep's headline number.
 func (r ServeSweepResult) MaxFinalRatio() float64 {
-	best := 0.0
-	for _, c := range r.Cells {
-		if c.FinalRatio > best {
-			best = c.FinalRatio
-		}
-	}
-	return best
+	return peak(r.Cells, ServeCell.FinalRatio)
 }

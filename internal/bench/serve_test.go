@@ -20,14 +20,14 @@ func TestServeSweepShape(t *testing.T) {
 			t.Fatalf("cell shards=%d %s: %d epochs, want %d",
 				c.Shards, c.Workload, len(c.Epochs), res.EpochsPerCell)
 		}
-		if c.FinalRatio < 1 {
-			t.Fatalf("cell shards=%d %s: final ratio %v < 1", c.Shards, c.Workload, c.FinalRatio)
+		if c.FinalRatio() < 1 {
+			t.Fatalf("cell shards=%d %s: final ratio %v < 1", c.Shards, c.Workload, c.FinalRatio())
 		}
-		if c.MaxShardRatio < c.MaxRatio {
+		if c.MaxShardRatio() < c.MaxRatio() {
 			t.Fatalf("cell shards=%d %s: worst shard %v below aggregate %v",
-				c.Shards, c.Workload, c.MaxShardRatio, c.MaxRatio)
+				c.Shards, c.Workload, c.MaxShardRatio(), c.MaxRatio())
 		}
-		if c.Shards > 1 && c.FinalImbalance <= 0 {
+		if c.Shards > 1 && c.Epochs[len(c.Epochs)-1].Imbalance <= 0 {
 			t.Fatalf("cell shards=%d %s: imbalance missing", c.Shards, c.Workload)
 		}
 		for _, e := range c.Epochs {

@@ -196,11 +196,5 @@ func ThroughputSweep(opts Options) (ThroughputSweepResult, error) {
 // MaxP999Ratio returns the worst poisoned/clean p999 ratio across cells —
 // the sweep's headline number.
 func (r ThroughputSweepResult) MaxP999Ratio() float64 {
-	best := 0.0
-	for _, c := range r.Cells {
-		if c.MaxP999Ratio > best {
-			best = c.MaxP999Ratio
-		}
-	}
-	return best
+	return peak(r.Cells, func(c ThroughputCell) float64 { return c.MaxP999Ratio })
 }
