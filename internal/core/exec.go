@@ -43,8 +43,8 @@ func WithFullScan() Option {
 // WithPerKeyEval disables the sorted-batch probe kernel (DESIGN.md §12) on
 // the scenario evaluation paths and forces the classic per-key ProbeSum
 // loop. The probe totals and every derived column are bit-identical either
-// way — this switch exists for the batch-kernel ablation, for differential
-// tests, and for the CLI's -no-batch-eval flag.
+// way; the switch's only user is TestPerKeyEvalEquivalence, which runs the
+// serving scenarios both ways as the batch kernel's differential reference.
 func WithPerKeyEval() Option {
 	return func(e *exec) { e.perKeyEval = true }
 }

@@ -31,8 +31,9 @@ import (
 // EvalStats counts how many (key, index-side) probe evaluations went
 // through the sorted-batch kernel versus the per-key reference loop —
 // surfaced on every scenario result so the CLI can report which eval path
-// produced the numbers (and so -no-batch-eval visibly changes the
-// accounting while changing none of the measured columns).
+// produced the numbers. WithPerKeyEval, whose only user is
+// TestPerKeyEvalEquivalence, moves the counts from BatchedKeys to
+// PerKeyKeys while changing none of the measured columns.
 type EvalStats struct {
 	// BatchedKeys / PerKeyKeys count evaluated keys per index side (one
 	// epoch evaluating n keys against victim and clean adds 2n).

@@ -61,18 +61,20 @@ func (o *GuardOptions) fill() {
 // internal/dynamic.
 // A Guard is single-writer THROUGH the guard: once wrapped, all mutation
 // must go through the Guard's Insert/Retrain (mutating the inner backend
-// directly would stale the guard's content cache).
+// directly would stale the guard's mirrored content).
 type Guard struct {
 	backend  index.Backend
 	policies []Policy
 	flagged  int
-	// content caches backend.Keys() (plus the lazily built loss oracle)
-	// between mutations so the policy chain costs O(log n) per offered
-	// insert instead of re-materializing the full content (O(n)) every time
-	// — a poison storm is exactly many rejected inserts in a row against
-	// unchanged content.
-	content      *Content
-	contentValid bool
+	// mirror is the guard's own sorted copy of the backend's keys, built
+	// once from backend.Keys() on the first screened insert and then kept
+	// in step by inserting each key the backend accepts (one memmove, no
+	// allocation within the reserve). content views it without copying, so
+	// the policy chain costs O(log n) per offered insert and an accepted
+	// insert costs O(n) memmove instead of an O(n) re-materialization of
+	// backend.Keys().
+	mirror  *keys.MutableSet
+	content Content
 }
 
 // NewGuard wraps a backend with the detector chain (the single density
@@ -93,15 +95,16 @@ func (g *Guard) Policies() []Policy { return g.policies }
 // Unwrap returns the guarded backend.
 func (g *Guard) Unwrap() index.Backend { return g.backend }
 
-// suspicious refreshes the content cache and runs the policy chain; any
-// policy flagging k rejects it.
+// suspicious runs the policy chain against the mirrored content, building
+// the mirror on first use; any policy flagging k rejects it.
 func (g *Guard) suspicious(k int64) bool {
-	if !g.contentValid {
-		g.content = NewContent(g.backend.Keys())
-		g.contentValid = true
+	if g.mirror == nil {
+		ks := g.backend.Keys()
+		g.mirror = keys.NewMutable(ks, ks.Len()/8)
+		g.content.reset(g.mirror.View())
 	}
 	for _, p := range g.policies {
-		if p.Suspicious(g.content, k) {
+		if p.Suspicious(&g.content, k) {
 			return true
 		}
 	}
@@ -110,15 +113,22 @@ func (g *Guard) suspicious(k int64) bool {
 
 // Insert screens k and forwards it only when its neighbourhood density is
 // unsuspicious; a rejected key reports (false, false) without touching the
-// backend.
+// backend. An accepted key is mirrored into the screened content; should
+// the mirror refuse a key the backend accepted (it never does for a
+// backend honouring the Set invariants), the mirror is dropped and rebuilt
+// from backend.Keys() on the next screen.
 func (g *Guard) Insert(k int64) (accepted, retrained bool) {
 	if k >= 0 && g.suspicious(k) {
 		g.flagged++
 		return false, false
 	}
 	accepted, retrained = g.backend.Insert(k)
-	if accepted {
-		g.contentValid = false
+	if accepted && g.mirror != nil {
+		if _, ok := g.mirror.Insert(k); ok {
+			g.content.reset(g.mirror.View())
+		} else {
+			g.mirror = nil
+		}
 	}
 	return accepted, retrained
 }
@@ -127,20 +137,15 @@ func (g *Guard) Insert(k int64) (accepted, retrained bool) {
 
 func (g *Guard) Lookup(k int64) index.LookupResult { return g.backend.Lookup(k) }
 
-// Retrain delegates and drops the content cache (a retrain does not change
-// the content, but keeping the invalidation tied to every mutation entry
-// point is cheaper to reason about than proving it unnecessary).
-func (g *Guard) Retrain() {
-	g.backend.Retrain()
-	g.contentValid = false
-}
+// Retrain delegates; the mirrored content stays, since a retrain changes
+// the model and not the stored keys.
+func (g *Guard) Retrain() { g.backend.Retrain() }
 
 // RetrainParallel forwards the pooled rebuild when the wrapped backend
 // supports it and falls back to the sequential Retrain otherwise, so a
 // guard never hides the inner backend's parallel rebuild path from the
 // retrain pipeline (index.ParallelRetrainer).
 func (g *Guard) RetrainParallel(ctx context.Context, pool *engine.Pool) error {
-	defer func() { g.contentValid = false }()
 	if pr, ok := g.backend.(index.ParallelRetrainer); ok {
 		return pr.RetrainParallel(ctx, pool)
 	}

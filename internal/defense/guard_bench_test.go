@@ -15,6 +15,7 @@ import (
 	"cdfpoison/internal/dataset"
 	"cdfpoison/internal/dynamic"
 	"cdfpoison/internal/index"
+	"cdfpoison/internal/keys"
 	"cdfpoison/internal/shard"
 	"cdfpoison/internal/xrand"
 )
@@ -74,4 +75,49 @@ func BenchmarkGuardProbeSum(b *testing.B) {
 			return s
 		})
 	})
+}
+
+// BenchmarkGuardInsert prices an accepted insert through the guard against
+// the bare backend. The guard screens each key against its mirrored
+// content and then inserts it into the mirror, so the difference is the
+// policy chain plus one memmove — no re-read of backend.Keys(). Each round
+// inserts 1,000 mid-gap keys into a fresh 20,000-key index; the rebuild
+// between rounds is untimed.
+func BenchmarkGuardInsert(b *testing.B) {
+	const base, round = 20_000, 1000
+	raw := make([]int64, base)
+	for i := range raw {
+		raw[i] = int64(i+1) * 1000
+	}
+	ks := keys.FromSorted(raw)
+	for _, guarded := range []bool{false, true} {
+		name := "bare"
+		if guarded {
+			name = "guarded"
+		}
+		b.Run("dynamic/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			var x index.Backend
+			for i := 0; i < b.N; i++ {
+				if i%round == 0 {
+					b.StopTimer()
+					d, err := dynamic.New(ks, dynamic.ManualPolicy())
+					if err != nil {
+						b.Fatal(err)
+					}
+					x = d
+					if guarded {
+						g := NewGuard(d, GuardOptions{})
+						g.suspicious(0) // build the mirror outside the timing
+						x = g
+					}
+					b.StartTimer()
+				}
+				k := int64(i%round)*(base/round)*1000 + 500
+				if ok, _ := x.Insert(k); !ok {
+					b.Fatalf("key %d rejected", k)
+				}
+			}
+		})
+	}
 }

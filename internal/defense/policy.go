@@ -30,9 +30,11 @@ import (
 )
 
 // Content is the screened backend's current content plus the lazily built
-// loss oracle the lossspike policy consults. A Guard caches one Content
-// between mutations, so a poison storm (many rejected inserts against
-// unchanged content) prices each offer at O(log n).
+// loss oracle the lossspike policy consults. A Guard keeps one Content in
+// step with its backend, mirroring each accepted insert into Keys, so a
+// poison storm (many rejected inserts against unchanged content) prices
+// each offer at O(log n) and an accepted insert never re-reads the whole
+// backend.
 type Content struct {
 	Keys keys.Set
 
@@ -43,6 +45,14 @@ type Content struct {
 // NewContent wraps a key set for policy evaluation (the Guard builds these
 // internally; tests and offline screening can too).
 func NewContent(ks keys.Set) *Content { return &Content{Keys: ks} }
+
+// reset points the content at ks and drops the loss oracle, which is
+// rebuilt lazily from ks on its next use: an oracle built over the previous
+// keys must never price a candidate against the shifted array.
+func (c *Content) reset(ks keys.Set) {
+	c.Keys = ks
+	c.prefix, c.prefixInit = nil, false
+}
 
 // LossOracle returns the exact-moment loss oracle over the content, built
 // on first use; nil when the content cannot support one (fewer than two

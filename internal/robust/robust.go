@@ -20,6 +20,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -167,41 +169,26 @@ func (t Trimmed) fit(ctx context.Context, pool *engine.Pool, ks keys.Set) (regre
 		kept[i] = i
 	}
 	line := full.Line
-	type scored struct {
-		idx int
-		r   float64
-	}
+	// The refit inputs, sized for the first (largest) survivor set.
+	x := make([]float64, 0, n-drop)
+	y := make([]float64, 0, n-drop)
 	for round := 0; round < trimRounds; round++ {
 		resid := fill(ctx, pool, len(kept), func(j int) scored {
 			i := kept[j]
 			d := line.Predict(ks.At(i)) - float64(i+1)
 			return scored{idx: i, r: math.Abs(d)}
 		})
-		// Keep the len(kept)-drop smallest residuals; ties break on the
-		// lower original index so the selection is deterministic.
-		sort.Slice(resid, func(a, b int) bool {
-			if resid[a].r != resid[b].r {
-				return resid[a].r < resid[b].r
-			}
-			return resid[a].idx < resid[b].idx
-		})
 		keepN := len(kept) - drop
 		if keepN < 2 {
 			keepN = 2
 		}
-		next := make([]int, keepN)
-		for j := 0; j < keepN; j++ {
-			next[j] = resid[j].idx
-		}
-		sort.Ints(next)
-		kept = next
+		kept = keepSmallest(resid, keepN, n)
 		// Refit the survivors against their ORIGINAL 1-based ranks: the
 		// model must still predict positions in the full stored array.
-		x := make([]float64, len(kept))
-		y := make([]float64, len(kept))
-		for j, i := range kept {
-			x[j] = float64(ks.At(i))
-			y[j] = float64(i + 1)
+		x, y = x[:0], y[:0]
+		for _, i := range kept {
+			x = append(x, float64(ks.At(i)))
+			y = append(y, float64(i+1))
 		}
 		line, err = regression.FitXY(x, y)
 		if err != nil {
@@ -213,6 +200,84 @@ func (t Trimmed) fit(ctx context.Context, pool *engine.Pool, ks keys.Set) (regre
 		return regression.Model{}, err
 	}
 	return regression.Model{Line: line, Loss: loss, N: n}, nil
+}
+
+// scored is one key's absolute rank residual under the current line.
+type scored struct {
+	idx int
+	r   float64
+}
+
+// keepSmallest returns, in ascending index order, the indices of the keepN
+// smallest residuals, ties broken on the lower index so the selection is
+// deterministic. The (residual, index) order is total, so the selected set
+// is unique and a selection finds it without a full sort; one pass over a
+// keep mask of the n key indices then lists the survivors in index order.
+func keepSmallest(resid []scored, keepN, n int) []int {
+	selectSmallest(resid, keepN)
+	keep := make([]bool, n)
+	for _, s := range resid[:keepN] {
+		keep[s.idx] = true
+	}
+	out := make([]int, 0, keepN)
+	for i, k := range keep {
+		if k {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// cmpScored is the strict (residual, index) order.
+func cmpScored(a, b scored) int {
+	switch {
+	case a.r < b.r:
+		return -1
+	case a.r > b.r:
+		return 1
+	}
+	return a.idx - b.idx
+}
+
+// selectSmallest reorders s so that s[:k] holds its k smallest elements
+// under cmpScored, in no particular order. It is a quickselect on the
+// median of three, deterministic for a given input; after 2·log₂(len(s))
+// rounds without converging it sorts the remaining range instead, which
+// bounds the worst case at O(n log n).
+func selectSmallest(s []scored, k int) {
+	lo, hi := 0, len(s)
+	for budget := 2 * bits.Len(uint(len(s))); budget > 0 && hi-lo > 12; budget-- {
+		// Median of three to s[hi-1], then a Lomuto partition around it.
+		mid := lo + (hi-lo)/2
+		if cmpScored(s[mid], s[lo]) < 0 {
+			s[mid], s[lo] = s[lo], s[mid]
+		}
+		if cmpScored(s[hi-1], s[lo]) < 0 {
+			s[hi-1], s[lo] = s[lo], s[hi-1]
+		}
+		if cmpScored(s[mid], s[hi-1]) < 0 {
+			s[mid], s[hi-1] = s[hi-1], s[mid]
+		}
+		pivot, p := s[hi-1], lo
+		for i := lo; i < hi-1; i++ {
+			if cmpScored(s[i], pivot) < 0 {
+				s[i], s[p] = s[p], s[i]
+				p++
+			}
+		}
+		s[p], s[hi-1] = s[hi-1], s[p]
+		switch {
+		case p == k:
+			return
+		case p > k:
+			hi = p
+		default:
+			lo = p + 1
+		}
+	}
+	if k > lo && k < hi {
+		slices.SortFunc(s[lo:hi], cmpScored)
+	}
 }
 
 // fill computes out[i] = fn(i) for i in [0, n), over the pool when one is

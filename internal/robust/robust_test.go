@@ -3,6 +3,8 @@ package robust
 import (
 	"context"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"cdfpoison/internal/dataset"
@@ -218,6 +220,172 @@ func TestParseFitterRejects(t *testing.T) {
 		"trimmed:", "trimmed:0", "trimmed:50", "trimmed:-3", "trimmed:NaN", "trimmed:x", "trimmed:1:2"} {
 		if _, err := ParseFitter(spec); err == nil {
 			t.Errorf("ParseFitter(%q) accepted an invalid spec", spec)
+		}
+	}
+}
+
+// twoSortKeep is the reference survivor selection keepSmallest replaced:
+// sort.Slice on the (residual, index) order, then sort.Ints on the chosen
+// indices.
+func twoSortKeep(resid []scored, keepN int) []int {
+	sort.Slice(resid, func(a, b int) bool {
+		if resid[a].r != resid[b].r {
+			return resid[a].r < resid[b].r
+		}
+		return resid[a].idx < resid[b].idx
+	})
+	next := make([]int, keepN)
+	for j := range next {
+		next[j] = resid[j].idx
+	}
+	sort.Ints(next)
+	return next
+}
+
+// TestKeepSmallestMatchesTwoSort pins the one-sort selection to the
+// two-sort reference over random index subsets, with residuals drawn from a
+// handful of values so that most comparisons are ties broken on the index.
+func TestKeepSmallestMatchesTwoSort(t *testing.T) {
+	rng := xrand.New(11)
+	for trial := 0; trial < 500; trial++ {
+		n := 2 + rng.Intn(300)
+		var idx []int
+		for i := 0; i < n; i++ {
+			if rng.Intn(4) != 0 {
+				idx = append(idx, i)
+			}
+		}
+		if len(idx) < 2 {
+			continue
+		}
+		levels := 1 + rng.Intn(6)
+		resid := make([]scored, len(idx))
+		for j, i := range idx {
+			r := float64(rng.Intn(levels))
+			if trial%2 == 1 {
+				r = rng.Float64() * float64(levels)
+			}
+			resid[j] = scored{idx: i, r: r}
+		}
+		// Score in a shuffled order: the selection must not depend on it.
+		rng.Shuffle(len(resid), func(a, b int) { resid[a], resid[b] = resid[b], resid[a] })
+		keepN := 2 + rng.Intn(len(idx)-1)
+		want := twoSortKeep(append([]scored(nil), resid...), keepN)
+		got := keepSmallest(append([]scored(nil), resid...), keepN, n)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d keep=%d levels=%d): got %v, want %v", trial, n, keepN, levels, got, want)
+		}
+	}
+	// The classic quickselect worst cases, every boundary position.
+	const n = 200
+	patterns := map[string]func(i int) float64{
+		"ascending":  func(i int) float64 { return float64(i) },
+		"descending": func(i int) float64 { return float64(n - i) },
+		"organ-pipe": func(i int) float64 { return float64(min(i, n-i)) },
+		"sawtooth":   func(i int) float64 { return float64(i % 7) },
+		"all-tied":   func(int) float64 { return 1 },
+	}
+	for name, r := range patterns {
+		resid := make([]scored, n)
+		for i := range resid {
+			resid[i] = scored{idx: i, r: r(i)}
+		}
+		for keepN := 2; keepN <= n; keepN++ {
+			want := twoSortKeep(append([]scored(nil), resid...), keepN)
+			got := keepSmallest(append([]scored(nil), resid...), keepN, n)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s keep=%d: got %v, want %v", name, keepN, got, want)
+			}
+		}
+	}
+}
+
+// trimmedTwoSort is the reference trimmed fit with the two-sort selection,
+// kept verbatim from before keepSmallest so the Model can be compared bit
+// for bit.
+func trimmedTwoSort(t *testing.T, pct float64, ks keys.Set) regression.Model {
+	t.Helper()
+	n := ks.Len()
+	full, err := regression.FitCDF(ks)
+	if err != nil || n <= 2 {
+		return full
+	}
+	drop := int(float64(n) * pct / 100)
+	if n-drop < 2 {
+		drop = n - 2
+	}
+	if drop == 0 {
+		return full
+	}
+	kept := make([]int, n)
+	for i := range kept {
+		kept[i] = i
+	}
+	line := full.Line
+	for round := 0; round < trimRounds; round++ {
+		resid := make([]scored, len(kept))
+		for j, i := range kept {
+			resid[j] = scored{idx: i, r: math.Abs(line.Predict(ks.At(i)) - float64(i+1))}
+		}
+		keepN := len(kept) - drop
+		if keepN < 2 {
+			keepN = 2
+		}
+		kept = twoSortKeep(resid, keepN)
+		x := make([]float64, len(kept))
+		y := make([]float64, len(kept))
+		for j, i := range kept {
+			x[j] = float64(ks.At(i))
+			y[j] = float64(i + 1)
+		}
+		if line, err = regression.FitXY(x, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loss, err := regression.EvaluateCDF(line, ks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return regression.Model{Line: line, Loss: loss, N: n}
+}
+
+// TestTrimmedMatchesTwoSortReference: the trimmed fit is byte-identical to
+// the two-sort reference on random sets, on exact progressions (every
+// residual tied) and on poisoned progressions.
+func TestTrimmedMatchesTwoSortReference(t *testing.T) {
+	var sets []keys.Set
+	for _, n := range []int{3, 10, 97, 500, 1060} {
+		ks, err := dataset.Uniform(xrand.New(uint64(n)+5), n, int64(n)*40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := progression(t, 100, 7, n)
+		sets = append(sets, ks, line, poisoned(t, line, n/10+1))
+	}
+	for _, ks := range sets {
+		for _, pct := range []float64{1, 10, 25, 49} {
+			want := trimmedTwoSort(t, pct, ks)
+			got, err := Trimmed{Pct: pct}.Fit(ks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("trimmed:%g n=%d: got %+v, want %+v", pct, ks.Len(), got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkTrimmedFit times one trimmed:10 fit of a shard-sized key set.
+func BenchmarkTrimmedFit(b *testing.B) {
+	ks, err := dataset.Uniform(xrand.New(9), 1060, 1060*40)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := (Trimmed{Pct: 10}).Fit(ks); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
