@@ -178,8 +178,9 @@ func BruteForceSinglePoint(ks KeySet, opts ...AttackOption) (SinglePointResult, 
 // GreedyMultiPoint inserts up to p poisoning keys, each locally optimal
 // (Algorithm 1); it stops early if the domain saturates or no insertion can
 // increase the loss. Each step runs the pruned endpoint scan (DESIGN.md
-// §11), and WithParallelism spreads the surviving candidate blocks across
-// workers — neither changes any result byte.
+// §11) on the calling goroutine; WithParallelism fans out only the full
+// endpoint scan that small sets and WithExhaustiveScan fall back to.
+// Neither changes any result byte.
 func GreedyMultiPoint(ks KeySet, p int, opts ...AttackOption) (GreedyResult, error) {
 	return core.GreedyMultiPoint(ks, p, opts...)
 }

@@ -80,13 +80,16 @@
 // # Parallel execution
 //
 // Attack entry points accept execution options. WithParallelism(n) runs the
-// hot loops — per-gap candidate evaluation in Algorithm 1, per-segment
-// second-stage attacks in Algorithm 2 — on a bounded worker pool (n == 1
-// sequential, n > 1 exactly n workers, n <= 0 one worker per core), and
-// WithCancellation(ctx) aborts mid-attack when ctx is cancelled:
+// loops that gain from it on a bounded worker pool (n == 1 sequential,
+// n > 1 exactly n workers, n <= 0 one worker per core): the per-segment
+// second-stage attacks of Algorithm 2, the brute-force and exhaustive
+// endpoint scans, the loss-sequence scan, and the cascade attack's
+// candidate costs. Algorithm 1's pruned scan visits only a few blocks per
+// step and stays on the calling goroutine. WithCancellation(ctx) aborts
+// mid-attack when ctx is cancelled:
 //
-//	atk, _ := cdfpoison.GreedyMultiPoint(ks, 50, cdfpoison.WithParallelism(0))
-//	res, _ := cdfpoison.RMIAttack(ks, opts, cdfpoison.WithParallelism(8))
+//	res, _ := cdfpoison.RMIAttack(ks, opts, cdfpoison.WithParallelism(0))
+//	seq, _, _ := cdfpoison.LossSequence(ks, cdfpoison.WithParallelism(8))
 //
 // The determinism contract: parallelism never changes results. Worker pools
 // distribute tasks dynamically but reduce results in task-index order

@@ -8,21 +8,18 @@ package alex
 // cascades, and retrains (DESIGN.md §9).
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/index"
 	"cdfpoison/internal/keys"
 )
 
 var (
-	_ index.Backend           = (*Index)(nil)
-	_ index.RebuildSizer      = (*Index)(nil)
-	_ index.ParallelRetrainer = (*Index)(nil)
-	_ index.TriggerPredictor  = (*Index)(nil)
+	_ index.Backend          = (*Index)(nil)
+	_ index.RebuildSizer     = (*Index)(nil)
+	_ index.TriggerPredictor = (*Index)(nil)
 )
 
 // view is the immutable-by-convention read state: leaves in key order, each
@@ -211,7 +208,7 @@ func New(ks keys.Set, leafTarget int) (*Index, error) {
 		return nil, fmt.Errorf("alex: leaf target %d below minimum 2", leafTarget)
 	}
 	x := &Index{leafTarget: leafTarget}
-	x.install(x.buildLeaves(ks.Keys(), nil))
+	x.install(x.buildLeaves(ks.Keys()))
 	x.lastRebuild = ks.Len()
 	return x, nil
 }
@@ -253,20 +250,12 @@ func (x *Index) partition(n int) []int {
 	return bounds
 }
 
-// buildLeaves bulk-loads fresh leaves from the sorted key slice, fanning
-// the per-leaf builds over the pool when one is supplied. Each leaf's fit
-// runs entirely inside one task, so any worker count produces bit-identical
-// leaves (the determinism contract).
-func (x *Index) buildLeaves(sorted []int64, build func(chunks int, one func(c int) *node) []*node) []*node {
+// buildLeaves bulk-loads fresh leaves from the sorted key slice.
+func (x *Index) buildLeaves(sorted []int64) []*node {
 	bounds := x.partition(len(sorted))
-	chunks := len(bounds) - 1
-	one := func(c int) *node { return buildNode(sorted[bounds[c]:bounds[c+1]]) }
-	if build != nil {
-		return build(chunks, one)
-	}
-	nodes := make([]*node, chunks)
+	nodes := make([]*node, len(bounds)-1)
 	for c := range nodes {
-		nodes[c] = one(c)
+		nodes[c] = buildNode(sorted[bounds[c]:bounds[c+1]])
 	}
 	return nodes
 }
@@ -370,7 +359,7 @@ func (x *Index) split(i int) {
 	if len(nodes) > x.fanoutLimit {
 		x.cascades++
 		x.cascadeKeys += int64(x.v.total)
-		x.rebuild(nil)
+		x.rebuild()
 	}
 }
 
@@ -413,39 +402,20 @@ func absInt(v int) int {
 
 // rebuild repartitions every key into fresh leaves (the cascade / explicit
 // retrain path).
-func (x *Index) rebuild(build func(chunks int, one func(c int) *node) []*node) {
+func (x *Index) rebuild() {
 	sorted := make([]int64, 0, x.v.total)
 	for _, nd := range x.v.nodes {
 		sorted = nd.keysInto(sorted)
 	}
 	n := len(sorted)
-	x.install(x.buildLeaves(sorted, build))
+	x.install(x.buildLeaves(sorted))
 	x.retrains++
 	x.lastRebuild = n
 }
 
 // Retrain is the explicit maintenance hook: a full rebuild at the leaf
 // target (every leaf back to ~50% density, fresh models, fresh router).
-func (x *Index) Retrain() { x.rebuild(nil) }
-
-// RetrainParallel fans the rebuild's per-leaf bulk loads across the pool
-// (index.ParallelRetrainer). Results are bit-identical to Retrain: leaves
-// are built in task-index order and each fit stays inside one task.
-func (x *Index) RetrainParallel(ctx context.Context, pool *engine.Pool) error {
-	var failed error
-	x.rebuild(func(chunks int, one func(c int) *node) []*node {
-		nodes, err := engine.Map(ctx, pool, chunks, func(c int) (*node, error) { return one(c), nil })
-		if err != nil {
-			failed = err
-			nodes = make([]*node, chunks)
-			for c := range nodes {
-				nodes[c] = one(c)
-			}
-		}
-		return nodes
-	})
-	return failed
-}
+func (x *Index) Retrain() { x.rebuild() }
 
 // RetrainPossible reports whether the NEXT insert could split a leaf
 // (index.TriggerPredictor): true iff some leaf is one accepted key from its

@@ -251,7 +251,7 @@ func OnlinePoisonAttack(initial keys.Set, opts OnlineOptions, execOpts ...Option
 	}
 	// The honest workload: initial keys + arrivals the clean twin accepted.
 	legit := append([]int64(nil), initial.Keys()...)
-	pe := newProbeEval()
+	pe := &probeEval{}
 	// The online scenario has no workload generator, so honest sources
 	// rotate over a plain arrival counter.
 	honestSeen, displaced := 0, 0
@@ -299,7 +299,7 @@ func OnlinePoisonAttack(initial keys.Set, opts OnlineOptions, execOpts ...Option
 		rep.Retrains, rep.BufferLen = vStats.Retrains, vStats.Buffered
 		rep.CleanLoss, rep.PoisonedLoss, rep.RatioLoss = lossCols(vStats, cStats)
 		pe.refresh(legit)
-		total, err := tw.measure(pe, endpointGrainFloor, pe.sorted)
+		total, err := tw.measure(pe, pe.sorted)
 		if err != nil {
 			return OnlineResult{}, err
 		}

@@ -1,30 +1,27 @@
 package core
 
 // probeEval is the scenario-side face of the sorted-batch probe kernel
-// (DESIGN.md §12): one struct owns every piece of scratch the per-epoch
-// probe evaluation needs — the sorted workload cache, the chunk-result
-// buffer, and the bound-once chunk closure — so the steady-state epoch
-// loop runs with ZERO allocations (TestProbeEvalZeroAllocs), matching the
-// allocation-budget discipline of the pruned endpoint scan (DESIGN.md §3).
+// (DESIGN.md §12): it owns the sorted workload cache the per-epoch probe
+// evaluation reads, so the steady-state epoch loop runs with ZERO
+// allocations (TestProbeEvalZeroAllocs), matching the allocation-budget
+// discipline of the pruned endpoint scan (DESIGN.md §3).
 //
 // Correctness leans on two invariants:
 //
 //   - the batch kernel is bit-identical to the per-key reference on the
 //     same batch (index.BatchReader's contract, pinned by the differential
 //     suite in internal/index), and
-//   - integer probe sums are order- and partition-invariant, so sorting
-//     the workload once and chunking the SORTED batch folds to the exact
-//     totals the historical per-key loop produced — every CSV fingerprint
-//     stays byte-identical.
+//   - integer probe sums are order-invariant, so sorting the workload once
+//     folds to the exact totals the historical per-key loop produced —
+//     every CSV fingerprint stays byte-identical.
 //
-// A chunk of a sorted batch is itself sorted, so the worker fan-out and
-// the kernel compose: each chunk runs the merged pass independently and
-// the chunk sums fold in index order (the determinism contract, §2).
+// Each side is one merged pass on the calling goroutine: the kernel's
+// gallop cursor makes a pass cheap enough that chunking it across the
+// worker pool cost more than it saved.
 
 import (
 	"slices"
 
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/index"
 )
 
@@ -49,45 +46,16 @@ func (s *EvalStats) add(keys int64, perKey bool) {
 	}
 }
 
-// probeAgg is one chunk's exact probe totals for both indexes. Integer sums
-// are partition-invariant, so any chunking folds to the sequential totals.
+// probeAgg is one batch's exact probe totals for both indexes.
 type probeAgg struct {
 	clean, victim int64
 }
 
-// probeEval carries the eval scratch across epochs. The zero value is NOT
-// ready: newProbeEval binds the chunk closure once (a per-epoch method
-// value would allocate).
+// probeEval carries the eval scratch across epochs; the zero value is ready.
 type probeEval struct {
 	sorted []int64 // sorted workload cache (refresh)
 	srcLen int     // source length the cache was built from
-	buf    []probeAgg
-	fn     func(lo, hi int) (probeAgg, error)
-	// Per-call bindings for fn — set by measurePair, cleared after, so the
-	// struct never pins an index or batch beyond the call.
-	batch         []int64
-	clean, victim index.PointReader
-	perKey        bool
-	stats         EvalStats
-}
-
-func newProbeEval() *probeEval {
-	pe := &probeEval{}
-	pe.fn = pe.evalChunk
-	return pe
-}
-
-func (pe *probeEval) evalChunk(lo, hi int) (probeAgg, error) {
-	var a probeAgg
-	seg := pe.batch[lo:hi]
-	if pe.perKey {
-		a.clean, _ = pe.clean.ProbeSum(seg)
-		a.victim, _ = pe.victim.ProbeSum(seg)
-	} else {
-		a.clean, _ = index.ProbeSumSorted(pe.clean, seg)
-		a.victim, _ = index.ProbeSumSorted(pe.victim, seg)
-	}
-	return a, nil
+	stats  EvalStats
 }
 
 // refresh (re)builds the sorted cache from an APPEND-ONLY source workload:
@@ -103,25 +71,21 @@ func (pe *probeEval) refresh(src []int64) {
 	pe.srcLen = len(src)
 }
 
-// measurePair evaluates one sorted batch against both indexes, fanning
-// chunks of the batch across the exec's worker pool and folding the chunk
-// sums in index order. With ex.perKeyEval the chunks run the per-key
-// reference instead — same totals, classic cost.
-func (pe *probeEval) measurePair(ex exec, grainFloor int, sorted []int64, clean, victim index.PointReader) (probeAgg, error) {
-	n := len(sorted)
-	pe.batch, pe.clean, pe.victim, pe.perKey = sorted, clean, victim, ex.perKeyEval
-	grain := engine.GrainForMin(n, ex.pool, grainFloor)
-	var err error
-	pe.buf, err = engine.MapChunksInto(ex.ctx, ex.pool, n, grain, pe.buf, pe.fn)
-	pe.batch, pe.clean, pe.victim = nil, nil, nil
-	if err != nil {
+// measurePair evaluates one sorted batch against both indexes: one merged
+// sorted-batch pass per side, or with ex.perKeyEval the per-key reference —
+// same totals, classic cost.
+func (pe *probeEval) measurePair(ex exec, sorted []int64, clean, victim index.PointReader) (probeAgg, error) {
+	if err := ex.ctx.Err(); err != nil {
 		return probeAgg{}, err
 	}
 	var total probeAgg
-	for _, a := range pe.buf {
-		total.clean += a.clean
-		total.victim += a.victim
+	if ex.perKeyEval {
+		total.clean, _ = clean.ProbeSum(sorted)
+		total.victim, _ = victim.ProbeSum(sorted)
+	} else {
+		total.clean, _ = index.ProbeSumSorted(clean, sorted)
+		total.victim, _ = index.ProbeSumSorted(victim, sorted)
 	}
-	pe.stats.add(2*int64(n), ex.perKeyEval)
+	pe.stats.add(2*int64(len(sorted)), ex.perKeyEval)
 	return total, nil
 }

@@ -17,8 +17,7 @@ import (
 
 // TestProbeEvalZeroAllocs pins the epoch-eval allocation budget: once the
 // scratch is warm, a steady-state epoch (unchanged workload) allocates
-// NOTHING — no sorted-cache copy, no chunk buffer, no closure — on the
-// sequential path the worker-equivalence contract makes canonical.
+// NOTHING — no sorted-cache copy, no per-call buffer — at any worker count.
 func TestProbeEvalZeroAllocs(t *testing.T) {
 	initial, err := dataset.Uniform(xrand.New(31), 2000, 80000)
 	if err != nil {
@@ -33,17 +32,19 @@ func TestProbeEvalZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	legit := initial.Keys()
-	ex := newExec(nil) // sequential: the canonical byte-identical path
-	pe := newProbeEval()
-	pe.refresh(legit)
-	allocs := testing.AllocsPerRun(20, func() {
-		pe.refresh(legit) // steady state: length unchanged, no copy
-		if _, err := pe.measurePair(ex, endpointGrainFloor, pe.sorted, clean, victim); err != nil {
-			t.Fatal(err)
+	for _, workers := range []int{1, 4} {
+		ex := newExec([]Option{WithWorkers(workers)})
+		pe := &probeEval{}
+		pe.refresh(legit)
+		allocs := testing.AllocsPerRun(20, func() {
+			pe.refresh(legit) // steady state: length unchanged, no copy
+			if _, err := pe.measurePair(ex, pe.sorted, clean, victim); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("workers=%d: steady-state epoch eval allocates %.1f objects/run, want 0", workers, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state epoch eval allocates %.1f objects/run, want 0", allocs)
 	}
 }
 

@@ -145,12 +145,12 @@ func (t *twins[T]) retrain() {
 
 // measure evaluates one sorted batch against both sides — the published
 // read-plane snapshots when piped — through the sorted-batch kernel.
-func (t *twins[T]) measure(pe *probeEval, grainFloor int, sorted []int64) (probeAgg, error) {
+func (t *twins[T]) measure(pe *probeEval, sorted []int64) (probeAgg, error) {
 	var v, c index.PointReader = t.v, t.c
 	if t.vPipe != nil {
 		v, c = t.vPipe.Snapshot(), t.cPipe.Snapshot()
 	}
-	return pe.measurePair(t.ex, grainFloor, sorted, c, v)
+	return pe.measurePair(t.ex, sorted, c, v)
 }
 
 // poison returns the accepted poison as a strict key set.

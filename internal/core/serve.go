@@ -192,9 +192,9 @@ func (r ServeResult) Damage() float64 { return r.FinalRatio() }
 //
 // Determinism contract: the workload stream is a pure function of
 // (Workload, initial, Domain, Seed); WithWorkers parallelism reaches only
-// the oracle's candidate scans, the shard rebuild fan-out, and the
-// read-probe evaluation, all of which fold in index order — the result is
-// byte-identical for every worker count (TestServeWorkerEquivalence).
+// the oracle's candidate scans and the shard rebuild fan-out, both of which
+// fold in index order — the result is byte-identical for every worker
+// count (TestServeWorkerEquivalence).
 // WithCancellation aborts between epochs and inside the oracle with
 // ctx.Err().
 func ServeAttack(initial keys.Set, opts ServeOptions, execOpts ...Option) (ServeResult, error) {
@@ -215,7 +215,7 @@ func ServeAttack(initial keys.Set, opts ServeOptions, execOpts ...Option) (Serve
 		return ServeResult{}, err
 	}
 	displaced := 0
-	pe := newProbeEval()
+	pe := &probeEval{}
 	var reads []int64 // epoch read-key scratch, reused across epochs
 	for e := 0; e < opts.Epochs; e++ {
 		if err := ex.ctx.Err(); err != nil {
@@ -276,19 +276,14 @@ func ServeAttack(initial keys.Set, opts ServeOptions, execOpts ...Option) (Serve
 	return res, nil
 }
 
-// serveProbeGrainFloor mirrors the online scenario's probe-scan chunking.
-const serveProbeGrainFloor = 256
-
 // measureServe fills the epoch report's loss, probe, and shard columns.
 // Loss, imbalance, and buffer columns read the LIVE shard state (the
 // admin-plane truth the operator's dashboards aggregate); probe columns
 // are measured against each pipeline's PUBLISHED read plane, captured once
-// as an immutable snapshot and then fanned across the worker pool in
-// chunks of the caller-sorted read batch — each chunk runs the sorted-batch
-// kernel (DESIGN.md §12), snapshot lookups are pure reads on frozen state,
-// and the sums are integers folded in chunk order, so any worker count (and
-// the per-key WithPerKeyEval path) produces identical bytes, with no
-// mutable state shared across workers at all.
+// as an immutable snapshot and read by one sorted-batch kernel pass over
+// the caller-sorted read batch (DESIGN.md §12); the integer sums equal the
+// per-key WithPerKeyEval path's, so every worker count produces identical
+// bytes.
 func measureServe(rep *ServeEpochReport, tw *twins[*shard.Index], reads []int64, pe *probeEval) error {
 	victim, clean := tw.victim, tw.clean
 	// Per-shard stats are the expensive part (ContentLoss is an O(shard)
@@ -328,7 +323,7 @@ func measureServe(rep *ServeEpochReport, tw *twins[*shard.Index], reads []int64,
 		}
 	}
 
-	total, err := tw.measure(pe, serveProbeGrainFloor, reads)
+	total, err := tw.measure(pe, reads)
 	if err != nil {
 		return err
 	}

@@ -134,8 +134,8 @@ func StaticAttack(initial keys.Set, opts StaticOptions, execOpts ...Option) (Sta
 	// workload already satisfies the batch kernel's precondition — no copy,
 	// no sort (DESIGN.md §12).
 	legit := initial.Keys()
-	pe := newProbeEval()
-	total, err := tw.measure(pe, endpointGrainFloor, legit)
+	pe := &probeEval{}
+	total, err := tw.measure(pe, legit)
 	if err != nil {
 		return StaticResult{}, err
 	}

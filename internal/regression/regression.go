@@ -52,16 +52,11 @@ func (m Model) String() string {
 	return fmt.Sprintf("rank ≈ %.6g·key %+.6g  (n=%d, mse=%.6g)", m.W, m.B, m.N, m.Loss)
 }
 
-// rankMean and rankSquaredMean are the exact moments of the rank multiset
+// rankMean and rankVar are the exact moments of the rank multiset
 // {1, …, n}: after any insertion the ranks are again exactly {1, …, n+1},
 // which is the structural fact (paper, Section IV-C) that makes O(1)
 // candidate evaluation possible.
 func rankMean(n int) float64 { return float64(n+1) / 2 }
-
-func rankSquaredMean(n int) float64 {
-	nf := float64(n)
-	return (nf + 1) * (2*nf + 1) / 6
-}
 
 // rankVar = Var of {1..n} = (n²−1)/12.
 func rankVar(n int) float64 {

@@ -8,16 +8,12 @@
 // worst-residual keys ("Testing the Robustness of Learned Index
 // Structures", PAPERS.md).
 //
-// Every fitter is deterministic (no RNG, no map iteration) and offers a
-// FitParallel path that fans the per-key work over an engine.Pool while
-// producing a byte-identical Model for any worker count: each slope or
-// residual is computed independently at its own index and the
-// order-sensitive steps (sorting, selection) stay sequential. See DESIGN.md
-// §10 for the fitter contract.
+// Every fitter is deterministic (no RNG, no map iteration) and runs on the
+// calling goroutine, so a Model depends only on its input key set. See
+// DESIGN.md §10 for the fitter contract.
 package robust
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/bits"
@@ -26,16 +22,13 @@ import (
 	"strconv"
 	"strings"
 
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/regression"
 )
 
 // Fitter is the pluggable CDF-training contract: given a sorted key set,
 // produce a regression.Model predicting 1-based ranks. Name() is the
-// canonical spec form and round-trips through ParseFitter. Fit and
-// FitParallel return byte-identical models for the same input; FitParallel
-// merely spreads the per-key arithmetic over the pool.
+// canonical spec form and round-trips through ParseFitter.
 //
 // Model semantics match regression.FitCDF: Loss is the MSE of the returned
 // line over the FULL input set (poison included — the fit may ignore keys,
@@ -44,12 +37,7 @@ import (
 type Fitter interface {
 	Name() string
 	Fit(ks keys.Set) (regression.Model, error)
-	FitParallel(ctx context.Context, pool *engine.Pool, ks keys.Set) (regression.Model, error)
 }
-
-// fitGrainFloor keeps parallel fan-out coarse enough that tiny fits stay on
-// one task (same floor discipline as the serve-plane probe scans).
-const fitGrainFloor = 256
 
 // OLS is the undefended baseline: the exact least-squares fit the paper
 // attacks (regression.FitCDF). Its presence makes "no robust training" a
@@ -62,12 +50,6 @@ func (OLS) Name() string { return "ols" }
 // Fit delegates to the closed-form least-squares fit.
 func (OLS) Fit(ks keys.Set) (regression.Model, error) { return regression.FitCDF(ks) }
 
-// FitParallel is identical to Fit: the closed form is already a single
-// exact pass, so there is nothing to fan out.
-func (OLS) FitParallel(_ context.Context, _ *engine.Pool, ks keys.Set) (regression.Model, error) {
-	return regression.FitCDF(ks)
-}
-
 // TheilSen is a deterministic Theil–Sen CDF estimator: the slope is the
 // median of the n/2 disjoint pairwise slopes (key i paired with key i+n/2 —
 // the Siegel-style pairing that keeps the estimator O(n log n) instead of
@@ -79,19 +61,8 @@ type TheilSen struct{}
 // Name returns the canonical spec "theilsen".
 func (TheilSen) Name() string { return "theilsen" }
 
-// Fit runs the estimator sequentially.
+// Fit runs the estimator.
 func (TheilSen) Fit(ks keys.Set) (regression.Model, error) {
-	return theilSen(context.Background(), nil, ks)
-}
-
-// FitParallel fans the slope and residual computations over the pool; the
-// medians are taken over the same values in the same order, so the model is
-// byte-identical for any worker count.
-func (TheilSen) FitParallel(ctx context.Context, pool *engine.Pool, ks keys.Set) (regression.Model, error) {
-	return theilSen(ctx, pool, ks)
-}
-
-func theilSen(ctx context.Context, pool *engine.Pool, ks keys.Set) (regression.Model, error) {
 	n := ks.Len()
 	if n == 0 {
 		return regression.Model{}, regression.ErrTooFew
@@ -104,11 +75,11 @@ func theilSen(ctx context.Context, pool *engine.Pool, ks keys.Set) (regression.M
 	h := n / 2
 	// Disjoint-pair slopes: rank distance is exactly h, key distance is
 	// positive (keys are strictly increasing), so every slope is finite.
-	slopes := fill(ctx, pool, n-h, func(i int) float64 {
+	slopes := fill(n-h, func(i int) float64 {
 		return float64(h) / float64(ks.At(i+h)-ks.At(i))
 	})
 	w := median(slopes)
-	resid := fill(ctx, pool, n, func(i int) float64 {
+	resid := fill(n, func(i int) float64 {
 		return float64(i+1) - w*float64(ks.At(i))
 	})
 	b := median(resid)
@@ -135,19 +106,8 @@ func (t Trimmed) Name() string { return fmt.Sprintf("trimmed:%g", t.Pct) }
 
 const trimRounds = 2
 
-// Fit runs the estimator sequentially.
+// Fit runs the estimator.
 func (t Trimmed) Fit(ks keys.Set) (regression.Model, error) {
-	return t.fit(context.Background(), nil, ks)
-}
-
-// FitParallel fans the residual scoring over the pool; selection and
-// refitting stay sequential, so the model is byte-identical for any worker
-// count.
-func (t Trimmed) FitParallel(ctx context.Context, pool *engine.Pool, ks keys.Set) (regression.Model, error) {
-	return t.fit(ctx, pool, ks)
-}
-
-func (t Trimmed) fit(ctx context.Context, pool *engine.Pool, ks keys.Set) (regression.Model, error) {
 	if math.IsNaN(t.Pct) || t.Pct <= 0 || t.Pct >= 50 {
 		return regression.Model{}, fmt.Errorf("robust: trim percentage %g outside (0, 50)", t.Pct)
 	}
@@ -173,7 +133,7 @@ func (t Trimmed) fit(ctx context.Context, pool *engine.Pool, ks keys.Set) (regre
 	x := make([]float64, 0, n-drop)
 	y := make([]float64, 0, n-drop)
 	for round := 0; round < trimRounds; round++ {
-		resid := fill(ctx, pool, len(kept), func(j int) scored {
+		resid := fill(len(kept), func(j int) scored {
 			i := kept[j]
 			d := line.Predict(ks.At(i)) - float64(i+1)
 			return scored{idx: i, r: math.Abs(d)}
@@ -280,26 +240,12 @@ func selectSmallest(s []scored, k int) {
 	}
 }
 
-// fill computes out[i] = fn(i) for i in [0, n), over the pool when one is
-// supplied and the input is large enough to be worth fanning out. Every
-// element is computed independently at its own index, so the output is
-// byte-identical for any worker count.
-func fill[T any](ctx context.Context, pool *engine.Pool, n int, fn func(i int) T) []T {
+// fill returns out with out[i] = fn(i) for i in [0, n).
+func fill[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	if pool == nil || pool.Workers() == 1 || n < fitGrainFloor {
-		for i := range out {
-			out[i] = fn(i)
-		}
-		return out
+	for i := range out {
+		out[i] = fn(i)
 	}
-	grain := engine.GrainForMin(n, pool, fitGrainFloor)
-	// Chunk errors are impossible (fn is total); ignore the error path.
-	_, _ = engine.MapChunks(ctx, pool, n, grain, func(lo, hi int) (struct{}, error) {
-		for i := lo; i < hi; i++ {
-			out[i] = fn(i)
-		}
-		return struct{}{}, nil
-	})
 	return out
 }
 

@@ -1,14 +1,12 @@
 package robust
 
 import (
-	"context"
 	"math"
 	"slices"
 	"sort"
 	"testing"
 
 	"cdfpoison/internal/dataset"
-	"cdfpoison/internal/engine"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/regression"
 	"cdfpoison/internal/xrand"
@@ -136,35 +134,6 @@ func TestFitDeterminism(t *testing.T) {
 		}
 		if a != b {
 			t.Errorf("%s: repeated fits differ: %+v vs %+v", f.Name(), a, b)
-		}
-	}
-}
-
-// TestFitWorkerEquivalence is the determinism contract: FitParallel over a
-// multi-worker pool returns a Model byte-identical to the sequential Fit,
-// for sizes on both sides of the grain floor.
-func TestFitWorkerEquivalence(t *testing.T) {
-	pools := []*engine.Pool{engine.New(1), engine.New(0), engine.New(5)}
-	for _, n := range []int{2, 17, 255, 256, 2000} {
-		ks, err := dataset.Uniform(xrand.New(uint64(n)), n, int64(n)*60)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range allFitters() {
-			want, err := f.Fit(ks)
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", f.Name(), n, err)
-			}
-			for _, p := range pools {
-				got, err := f.FitParallel(context.Background(), p, ks)
-				if err != nil {
-					t.Fatalf("%s n=%d workers=%d: %v", f.Name(), n, p.Workers(), err)
-				}
-				if got != want {
-					t.Errorf("%s n=%d workers=%d: parallel %+v != sequential %+v",
-						f.Name(), n, p.Workers(), got, want)
-				}
-			}
 		}
 	}
 }
