@@ -339,11 +339,13 @@ type BackendFactory = core.BackendFactory
 func ParseRetrainPolicy(s string) (RetrainPolicy, error) { return dynamic.ParsePolicy(s) }
 
 // SingleModelIndex is the single-model (fanout-1) RMI path behind the
-// backend contract: a static learned index whose inserts are staged until
-// an explicit Retrain rebuilds the model — the paper's own victim shape.
-type SingleModelIndex = rmi.Single
+// backend contract — the paper's own victim shape: a DynamicIndex under the
+// manual policy, trained by the RMI's stage-2 fit, whose inserts wait in
+// the delta buffer until an explicit Retrain rebuilds the model.
+type SingleModelIndex = dynamic.Index
 
-// NewSingleModelIndex builds the fanout-1 learned index over the keys.
+// NewSingleModelIndex builds the fanout-1 learned index over the keys
+// (at least two).
 func NewSingleModelIndex(ks KeySet) (*SingleModelIndex, error) { return rmi.NewSingle(ks) }
 
 // ShardedIndex is a range-partitioned serving index: a router fitted over

@@ -539,7 +539,7 @@ func runAblations(opts bench.Options, out string) error {
 	}
 	tb := export.NewTable("keys", "domain", "opt_candidates", "brute_candidates",
 		"agree", "opt_micros", "brute_micros", "speedup")
-	speedup := float64(ep.BruteMicros) / float64(max64(ep.OptMicros, 1))
+	speedup := float64(ep.BruteMicros) / float64(max(ep.OptMicros, 1))
 	tb.AddRow(fmt.Sprint(ep.Keys), fmt.Sprint(ep.Domain), fmt.Sprint(ep.OptCandidates),
 		fmt.Sprint(ep.BruteCandidates), fmt.Sprint(ep.Agree),
 		fmt.Sprint(ep.OptMicros), fmt.Sprint(ep.BruteMicros), export.F(speedup))
@@ -925,11 +925,4 @@ func runPerf(opts bench.Options, out string) error {
 	}
 	fmt.Printf("no regression against %s (tolerance %.0f%%)\n", perfBaseline, perfTol*100)
 	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -287,24 +287,12 @@ func ServeAttack(initial keys.Set, opts ServeOptions, execOpts ...Option) (Serve
 func measureServe(rep *ServeEpochReport, tw *twins[*shard.Index], reads []int64, pe *probeEval) error {
 	victim, clean := tw.victim, tw.clean
 	// Per-shard stats are the expensive part (ContentLoss is an O(shard)
-	// scan); collect them once per side and fold the aggregates here with
-	// the same key-weighted arithmetic shard.Index.Stats uses, instead of
-	// paying a second full pass through victim.Stats()/clean.Stats().
+	// scan); collect them once per side and fold the aggregates through
+	// shard.AggregateStats, the fold shard.Index.Stats itself uses, instead
+	// of paying a second full pass through victim.Stats()/clean.Stats().
 	vShards, cShards := victim.ShardStats(), clean.ShardStats()
-	aggregate := func(shards []index.Stats) (agg index.Stats) {
-		var contentW float64
-		for _, st := range shards {
-			agg.Keys += st.Keys
-			agg.Buffered += st.Buffered
-			agg.Retrains += st.Retrains
-			contentW += st.ContentLoss * float64(st.Keys)
-		}
-		if agg.Keys > 0 {
-			agg.ContentLoss = contentW / float64(agg.Keys)
-		}
-		return agg
-	}
-	vAgg, cAgg := aggregate(vShards), aggregate(cShards)
+	vAgg := shard.AggregateStats(len(vShards), func(i int) index.Stats { return vShards[i] })
+	cAgg := shard.AggregateStats(len(cShards), func(i int) index.Stats { return cShards[i] })
 	rep.Retrains, rep.CleanRetrains, rep.BufferLen = vAgg.Retrains, cAgg.Retrains, vAgg.Buffered
 	rep.CleanLoss, rep.PoisonedLoss, rep.RatioLoss = lossCols(vAgg, cAgg)
 	rep.Imbalance = victim.Imbalance()

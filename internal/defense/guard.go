@@ -3,9 +3,9 @@ package defense
 // The serving-side face of this package: defenses that wrap a live
 // index.Backend instead of sanitizing a training set after the fact. The
 // wrapper pattern is what the backend-interface refactor buys the defender
-// — a Guard composes with ANY backend (dynamic, sharded, single-model RMI,
-// even the B-Tree) and with any scenario, because both sides only see
-// index.Backend.
+// — a Guard composes with ANY backend (dynamic, including the single-model
+// RMI built on it, sharded, ALEX, even the B-Tree) and with any scenario,
+// because both sides only see index.Backend.
 
 import (
 	"context"

@@ -149,16 +149,18 @@ type view struct {
 
 var _ index.Snapshot = (*view)(nil)
 
-// Index is an updatable learned index: base set + model + delta buffer.
-// It is NOT safe for concurrent mutation; the online attack drives it from
-// a single goroutine and parallelizes only pure reads.
 // FitFunc is a pluggable CDF trainer: given the base set, produce the model
 // lookups will navigate by. nil means regression.FitCDF — the exact
 // least-squares fit the paper attacks. internal/robust provides
 // poisoning-resistant implementations (Theil–Sen, trimmed least squares);
 // the defense plane threads them in through NewWithFit (DESIGN.md §10).
+// rmi.NewSingle plugs in the RMI's fanout-1 stage-2 fit, which makes a
+// manual-policy Index the paper's single-model victim.
 type FitFunc func(keys.Set) (regression.Model, error)
 
+// Index is an updatable learned index: base set + model + delta buffer.
+// It is NOT safe for concurrent mutation; the online attack drives it from
+// a single goroutine and parallelizes only pure reads.
 type Index struct {
 	policy RetrainPolicy
 	// fitFn is the pluggable trainer; nil selects regression.FitCDF.

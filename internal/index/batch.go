@@ -57,6 +57,25 @@ func ProbeSumSorted(r PointReader, sorted []int64) (probes int64, notFound int) 
 // searches. These gallop probes are bookkeeping, NOT counted lookup probes;
 // kernels reconstruct the reference probe count arithmetically from the
 // returned position.
+func GallopLower(a []int64, k int64, from int) int {
+	n := len(a)
+	if from >= n || a[from] >= k {
+		return from
+	}
+	// Invariant: a[from+step/2] < k (checked), hunting for the first bound
+	// with a[from+step] >= k.
+	step := 1
+	for from+step < n && a[from+step] < k {
+		step <<= 1
+	}
+	lo := from + step>>1 + 1 // first untested index
+	hi := from + step        // a[hi] >= k, or hi >= n
+	if hi > n {
+		hi = n
+	}
+	return lo + sort.Search(hi-lo, func(i int) bool { return a[lo+i] >= k })
+}
+
 // SearchDepths tabulates the probe count of the canonical windowed binary
 // search (mid = (lo+hi)/2, three-way compare) as a pure function of the
 // target's rank within the window. For a window of size s:
@@ -119,23 +138,4 @@ func ProbeDepths(s int) *SearchDepths {
 	}
 	depthMu.Unlock()
 	return t
-}
-
-func GallopLower(a []int64, k int64, from int) int {
-	n := len(a)
-	if from >= n || a[from] >= k {
-		return from
-	}
-	// Invariant: a[from+step/2] < k (checked), hunting for the first bound
-	// with a[from+step] >= k.
-	step := 1
-	for from+step < n && a[from+step] < k {
-		step <<= 1
-	}
-	lo := from + step>>1 + 1 // first untested index
-	hi := from + step        // a[hi] >= k, or hi >= n
-	if hi > n {
-		hi = n
-	}
-	return lo + sort.Search(hi-lo, func(i int) bool { return a[lo+i] >= k })
 }

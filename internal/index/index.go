@@ -19,10 +19,10 @@
 // core.ChurnAttack, the backend comparison sweep in internal/bench, the
 // defense wrappers) are written against interfaces alone and any substrate
 // — the updatable learned index (internal/dynamic), the B-Tree baseline
-// (internal/btree), the single-model RMI path (internal/rmi), the
-// range-partitioned sharded index (internal/shard), or a defense wrapper
-// (internal/defense) — can be swapped under any scenario without touching
-// the scenario.
+// (internal/btree), the single-model RMI path (internal/rmi: a dynamic
+// index trained by the RMI's stage-2 fit), the range-partitioned sharded
+// index (internal/shard), or a defense wrapper (internal/defense) — can be
+// swapped under any scenario without touching the scenario.
 //
 // On top of the planes, this package provides the deterministic
 // background-retrain pipeline (pipeline.go): a wrapper that decouples WHEN
@@ -61,7 +61,7 @@ import "cdfpoison/internal/keys"
 // LookupResult reports a probe-counted point query against a Backend.
 type LookupResult struct {
 	Found    bool
-	InBuffer bool // served from a delta buffer / staged area, not the base
+	InBuffer bool // served from a delta buffer, not the base
 	Probes   int  // key comparisons performed
 	Window   int  // guaranteed model search-window width (0 when model-free)
 }
@@ -69,7 +69,7 @@ type LookupResult struct {
 // Stats is the uniform backend summary the scenarios report on.
 type Stats struct {
 	Keys     int // total stored keys
-	Buffered int // keys waiting in a delta buffer / staged area
+	Buffered int // keys waiting in a delta buffer
 	Retrains int // completed retrains (0 for structures that never retrain)
 	// ModelLoss is the current model's in-sample MSE on the base it was
 	// trained on; 0 for model-free backends.

@@ -266,8 +266,9 @@ func (p *Pipeline) rebuildSize() int {
 }
 
 // trigger records a retrain that just ran on the backend. pre is the read
-// state captured immediately before it (nil when the cost model is zero —
-// no window to serve it in).
+// state captured immediately before it; it is nil when there is no window
+// to serve it in (zero cost model, or a rebuild already in flight) and when
+// the backend promised no trigger was reachable.
 func (p *Pipeline) trigger(pre Snapshot) {
 	p.stats.Triggers++
 	if p.cost.Zero() {
@@ -288,8 +289,15 @@ func (p *Pipeline) trigger(pre Snapshot) {
 		p.stats.Publishes++
 		return
 	}
-	p.published = pre
 	p.result = p.backend.Snapshot()
+	if pre == nil {
+		// A backend broke the TriggerPredictor contract (retrained after
+		// promising it could not). Degrade gracefully: serve the
+		// post-rebuild state for the window rather than crash — the
+		// conformance tests keep real backends off this path.
+		pre = p.result
+	}
+	p.published = pre
 	p.triggeredAt = p.now
 	p.staleMark = p.now
 	p.readyAt = p.now + d
@@ -300,18 +308,8 @@ func (p *Pipeline) trigger(pre Snapshot) {
 // rebuild's cost elapses. With the zero cost model this is a pure
 // pass-through.
 func (p *Pipeline) Insert(k int64) (accepted, retrained bool) {
-	if p.cost.Zero() {
-		accepted, retrained = p.backend.Insert(k)
-		if retrained {
-			p.trigger(nil)
-		}
-		if accepted || retrained {
-			p.rev++
-		}
-		return accepted, retrained
-	}
 	var pre Snapshot
-	if p.published == nil && p.retrainPossible() {
+	if !p.cost.Zero() && p.published == nil && p.retrainPossible() {
 		// Capture the pre-insert view in case this insert trips the policy:
 		// O(1) for the learned backends (copy-on-write buffers), and
 		// skipped entirely when the backend promises no trigger is
@@ -320,13 +318,6 @@ func (p *Pipeline) Insert(k int64) (accepted, retrained bool) {
 	}
 	accepted, retrained = p.backend.Insert(k)
 	if retrained {
-		if pre == nil && p.published == nil {
-			// A backend broke the TriggerPredictor contract (retrained
-			// after promising it could not). Degrade gracefully: serve the
-			// post-rebuild state for the window rather than crash — the
-			// conformance tests keep real backends off this path.
-			pre = p.backend.Snapshot()
-		}
 		p.trigger(pre)
 	}
 	if (accepted || retrained) && p.published == nil {

@@ -170,6 +170,42 @@ func TestPipelineStaleWindow(t *testing.T) {
 	}
 }
 
+// falsePredictor breaks the TriggerPredictor contract: it promises no
+// Insert can trigger a retrain while its buffer policy still fires.
+type falsePredictor struct{ *dynamic.Index }
+
+func (falsePredictor) RetrainPossible() bool { return false }
+
+// TestPipelineBrokenPredictor: when a backend retrains after promising it
+// could not, the pipeline has no pre-insert snapshot; it serves the
+// post-rebuild state for the stale window and still publishes on time.
+func TestPipelineBrokenPredictor(t *testing.T) {
+	initial := fixture(t, 300)
+	inner, err := dynamic.New(initial, dynamic.BufferLimit(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := index.NewPipeline(falsePredictor{inner}, index.CostModel{Fixed: 5})
+	a, b := initial.Min()+1, initial.Min()+2
+	p.Insert(a)
+	if _, ret := p.Insert(b); !ret {
+		t.Fatal("buffer policy did not fire")
+	}
+	if !p.IsStale() {
+		t.Fatal("no stale window after the unpredicted trigger")
+	}
+	if !p.Lookup(a).Found || !p.Lookup(b).Found {
+		t.Fatal("read plane does not serve the post-rebuild state")
+	}
+	p.Tick(5)
+	if p.IsStale() {
+		t.Fatal("window still open after cost ticks")
+	}
+	if st := p.ChurnStats(); st.Triggers != 1 || st.Publishes != 1 || st.StaleTicks != 5 {
+		t.Fatalf("counts: %+v", st)
+	}
+}
+
 // TestPipelineCoalescing: retrains triggered while a rebuild is in flight
 // collapse into ONE chained follow-up; readers advance one version per
 // publish and latency exceeds the raw rebuild cost — the churn attacker's

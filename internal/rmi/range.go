@@ -87,17 +87,3 @@ func (idx *Index) lowerBound(k int64) (pos, probes int) {
 	}
 	return lo, probes
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

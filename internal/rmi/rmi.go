@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 
+	"cdfpoison/internal/dynamic"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/nn"
 	"cdfpoison/internal/regression"
@@ -182,25 +183,65 @@ func fitStage2(ks keys.Set, rows []int) stage2 {
 		xs[i] = float64(ks.At(r))
 		ys[i] = float64(r + 1) // global 1-based rank
 	}
-	line, err := regression.FitXY(xs, ys)
-	if err != nil { // unreachable: len(rows) >= 2
-		line = regression.Line{}
-	}
-	s.line = line
-	s.eLo, s.eHi = math.Inf(1), math.Inf(-1)
-	var mse float64
+	s.line, s.eLo, s.eHi, s.localMSE = fitRanks(xs, ys)
+	return s
+}
+
+// fitRanks fits the least-squares line over (key, rank) points and
+// measures it on them: the min/max of (actual − predicted) and the
+// in-sample MSE. len(xs) == len(ys) >= 2.
+func fitRanks(xs, ys []float64) (line regression.Line, eLo, eHi, mse float64) {
+	line, _ = regression.FitXY(xs, ys) // cannot fail on equal-length, non-empty input
+	eLo, eHi = math.Inf(1), math.Inf(-1)
 	for i := range xs {
 		d := ys[i] - line.Predict(int64(xs[i]))
-		if d < s.eLo {
-			s.eLo = d
+		if d < eLo {
+			eLo = d
 		}
-		if d > s.eHi {
-			s.eHi = d
+		if d > eHi {
+			eHi = d
 		}
 		mse += d * d
 	}
-	s.localMSE = mse / float64(len(rows))
-	return s
+	return line, eLo, eHi, mse / float64(len(xs))
+}
+
+// NewSingle builds the single-model (fanout-1) RMI behind index.Backend:
+// the paper's victim — one regression over every key with a guaranteed
+// error envelope — as a dynamic.Index under the manual policy, trained by
+// this package's stage-2 fit. Inserts wait in the delta buffer until an
+// explicit Retrain rebuilds the model over the union, the "rebuild on a
+// maintenance window" deployment the paper's threat model assumes.
+// Lookups, windows and Stats equal those of Build(initial, Config{Fanout:
+// 1}) on the same content. Like every dynamic index it needs at least two
+// keys (dynamic.ErrTooFew).
+func NewSingle(initial keys.Set) (*dynamic.Index, error) {
+	return NewSingleWithFit(initial, nil)
+}
+
+// NewSingleWithFit is NewSingle with a pluggable trainer used by the
+// initial build and every Retrain (internal/robust provides
+// poisoning-resistant ones). A nil fit selects the stage-2 fit.
+func NewSingleWithFit(initial keys.Set, fit dynamic.FitFunc) (*dynamic.Index, error) {
+	if fit == nil {
+		fit = fitSingle
+	}
+	return dynamic.NewWithFit(initial, dynamic.ManualPolicy(), fit)
+}
+
+// fitSingle is the fanout-1 stage-2 trainer: fitStage2's line over every
+// key, with its in-sample MSE (SecondStageMSE at fanout 1) as Loss.
+// dynamic.NewWithFit only trains on two or more keys.
+func fitSingle(ks keys.Set) (regression.Model, error) {
+	n := ks.Len()
+	xs := make([]float64, n)
+	ys := make([]float64, n)
+	for i := range xs {
+		xs[i] = float64(ks.At(i))
+		ys[i] = float64(i + 1)
+	}
+	line, _, _, mse := fitRanks(xs, ys)
+	return regression.Model{Line: line, Loss: mse, N: n}, nil
 }
 
 // route maps a key to a second-stage model index, deterministically.

@@ -330,14 +330,22 @@ func (x *Index) Keys() keys.Set {
 	return keys.FromSorted(out)
 }
 
-// Stats aggregates across shards: counts sum, losses are key-weighted
-// means (each shard models its own subrange, so its loss lives in
-// shard-local rank space), Window is the worst shard's.
+// Stats aggregates across shards (see AggregateStats).
 func (x *Index) Stats() index.Stats {
+	return AggregateStats(len(x.shards), func(i int) index.Stats { return x.shards[i].Stats() })
+}
+
+// AggregateStats folds n per-shard summaries, read in shard order through
+// shardStats, into the index-wide one: counts sum, losses are key-weighted
+// means (each shard models its own subrange, so its loss lives in
+// shard-local rank space), Window is the worst shard's. Callers that
+// already hold ShardStats fold them here instead of paying a second pass
+// through Stats.
+func AggregateStats(n int, shardStats func(i int) index.Stats) index.Stats {
 	var agg index.Stats
 	var lossW, contentW float64
-	for _, s := range x.shards {
-		st := s.Stats()
+	for i := 0; i < n; i++ {
+		st := shardStats(i)
 		agg.Keys += st.Keys
 		agg.Buffered += st.Buffered
 		agg.Retrains += st.Retrains

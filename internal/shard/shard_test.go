@@ -5,6 +5,7 @@ import (
 
 	"cdfpoison/internal/dataset"
 	"cdfpoison/internal/dynamic"
+	"cdfpoison/internal/index"
 	"cdfpoison/internal/keys"
 	"cdfpoison/internal/xrand"
 )
@@ -188,5 +189,22 @@ func TestSkewedDataFallsBackToQuantiles(t *testing.T) {
 	}
 	if !x.Keys().Equal(ks) {
 		t.Fatal("skewed partition lost keys")
+	}
+}
+
+// TestStatsZeroAllocs: the scenarios read Stats every epoch; with every
+// shard's buffer empty it allocates nothing, and it equals the fold of
+// ShardStats through AggregateStats.
+func TestStatsZeroAllocs(t *testing.T) {
+	x, err := New(fixture(t, 4_000), 8, dynamic.ManualPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := x.ShardStats()
+	if got, want := x.Stats(), AggregateStats(len(per), func(i int) index.Stats { return per[i] }); got != want {
+		t.Fatalf("Stats %+v, fold of ShardStats %+v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { x.Stats() }); allocs != 0 {
+		t.Fatalf("Stats allocates %.1f times per call, want 0", allocs)
 	}
 }
